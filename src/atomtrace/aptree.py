@@ -9,15 +9,14 @@ prepares the next one.
 from __future__ import annotations
 
 import random
-import sys
 import threading
-from contextlib import contextmanager
+import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence, Union
 
 from . import atoms as atoms_mod
-from .atoms import AtomSet, UnknownPredicate, compute_atoms
+from .atoms import AtomSet, UnknownPredicate
 from .bdd import Engine, Header, LengthMismatch, Predicate
 
 
@@ -51,6 +50,7 @@ class APTree:
     atom_set: AtomSet
     sources: tuple[Predicate, ...]  # live predicates, in refinement order
     removed: frozenset[int]  # handles removed since the last build
+    depth_sum: int  # sum of leaf depths (one leaf per atom), for the drift check
     version: int = 0
     structural_updates: int = 0
     strategy: str = GREEDY
@@ -80,8 +80,12 @@ def build(
     elif strategy not in (GREEDY, DECLARED):
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    def grow(reach: frozenset[int], cands: list) -> Node:
+    depth_sum = 0
+
+    def grow(reach: frozenset[int], cands: list, depth: int) -> Node:
+        nonlocal depth_sum
         if len(reach) == 1:
+            depth_sum += depth
             return Leaf(next(iter(reach)))
         best = None
         remaining = []
@@ -102,17 +106,18 @@ def build(
         rest = [c for c in remaining if c[0] != idx]
         return Internal(
             preds[idx],
-            grow(t, rest),
-            grow(reach - members, rest),
+            grow(t, rest, depth + 1),
+            grow(reach - members, rest, depth + 1),
         )
 
-    root = grow(frozenset(atom_set.order), candidates)
+    root = grow(frozenset(atom_set.order), candidates, 0)
     return APTree(
         engine=engine,
         root=root,
         atom_set=atom_set,
         sources=tuple(preds),
         removed=frozenset(),
+        depth_sum=depth_sum,
         version=version,
         strategy=strategy,
         seed=seed,
@@ -163,33 +168,61 @@ def add_predicate(tree: APTree, p: Predicate) -> APTree:
     A leaf whose atom is split by p becomes an internal node testing p with
     two fresh leaves; all other leaves are untouched.  Adding a predicate
     that is already refined by the partition changes no structure.
+
+    Only the paths p reaches are walked, carrying r = p ∧ path: a side is
+    entered only if r meets it, and at a leaf r is p ∧ atom.  So the BDD
+    work is two conjunctions per node on those paths, not one per atom,
+    and only those paths are copied.
     """
     engine = tree.engine
     if p.node in (0, 1):
         raise ValueError("cannot add a constant predicate")
-    new_atoms, splits = atoms_mod.refine(tree.atom_set, p)
+    meets: dict[int, Predicate] = {}  # atom -> p ∧ atom, for atoms p meets
+    reached: set[int] = set()  # id() of the internal nodes on those paths
 
-    def rewrite(node: Node) -> Node:
+    def walk(node: Node, r: Predicate) -> None:
+        if isinstance(node, Leaf):
+            meets[node.atom] = r
+            return
+        reached.add(id(node))
+        t = engine.conj(r, node.pred)
+        if not engine.is_false(t):
+            walk(node.true_child, t)
+        f = engine.diff(r, node.pred)
+        if not engine.is_false(f):
+            walk(node.false_child, f)
+
+    walk(tree.root, p)
+    new_atoms, splits = atoms_mod.refine(tree.atom_set, p, meets)
+    depth_sum = tree.depth_sum
+
+    def rewrite(node: Node, depth: int) -> Node:
+        nonlocal depth_sum
         if isinstance(node, Leaf):
             if node.atom in splits:
+                depth_sum += depth + 2  # one leaf at depth d becomes two at d+1
                 ti, fi = splits[node.atom]
                 return Internal(p, Leaf(ti), Leaf(fi))
             return node
-        t = rewrite(node.true_child)
-        f = rewrite(node.false_child)
+        if id(node) not in reached:
+            return node
+        t = rewrite(node.true_child, depth + 1)
+        f = rewrite(node.false_child, depth + 1)
         if t is node.true_child and f is node.false_child:
             return node
         return Internal(node.pred, t, f)
 
+    root = rewrite(tree.root, 0) if splits else tree.root
     sources = tree.sources
     if all(s.node != p.node for s in sources):
         sources = sources + (p,)
     return replace(
         tree,
-        root=rewrite(tree.root),
+        root=root,
         atom_set=new_atoms,
         sources=sources,
         removed=tree.removed - {p.node},
+        depth_sum=depth_sum,
         structural_updates=tree.structural_updates + 1,
     )
 
@@ -211,11 +244,10 @@ def remove_predicate(tree: APTree, p: Predicate) -> APTree:
 
 
 def rebuild(tree: APTree) -> APTree:
-    """Recompute atoms from the live predicates and grow a fresh tree."""
-    fresh = compute_atoms(tree.engine, tree.sources)
+    """Merge the cells into the atoms of the live predicates and grow a fresh tree."""
     return build(
         tree.engine,
-        fresh,
+        atoms_mod.merge(tree.atom_set, tree.sources),
         tree.sources,
         strategy=tree.strategy,
         seed=tree.seed,
@@ -223,31 +255,20 @@ def rebuild(tree: APTree) -> APTree:
     )
 
 
-@contextmanager
-def _writer_priority():
-    """Suppress thread preemption while the single writer runs.
-
-    Readers never block on the writer — they drain the published epoch —
-    so briefly pausing their time slices costs only reader throughput,
-    while letting the interpreter preempt a mid-flight update would
-    multiply its latency by the number of reader threads.
-    """
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1.0)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(old)
+def _mean_depth(tree: APTree) -> float:
+    """avg_leaf_depth from the carried sum, without walking the leaves."""
+    return tree.depth_sum / len(tree.atom_set)
 
 
 class PublishedClassifier:
     """Epoch-swapped tree: many readers, one writer.
 
     Readers grab the current tree with .tree and classify against it; the
-    reference never mutates.  Updates are serialized through a lock, run
-    at writer priority, and publish a new tree atomically.  A rebuild is
-    triggered after enough structural updates or when the average depth
-    drifts past the ratio.
+    reference never mutates.  Updates are serialized through a lock and
+    publish a new tree atomically.  A rebuild is triggered after enough
+    structural updates ("count") or when the average depth drifts past the
+    ratio ("depth"); .rebuilds records each rebuild's trigger, the number of
+    updates applied before it, and its service time.
     """
 
     def __init__(
@@ -260,44 +281,48 @@ class PublishedClassifier:
         self._tree = tree
         self.rebuild_after = rebuild_after
         self.depth_ratio = depth_ratio
-        self._baseline_depth = avg_leaf_depth(tree)
-        self.rebuild_count = 0
+        self._baseline_depth = _mean_depth(tree)
+        self.updates = 0
+        self.rebuilds: list[dict] = []
 
     @property
     def tree(self) -> APTree:
         return self._tree
 
+    @property
+    def rebuild_count(self) -> int:
+        return len(self.rebuilds)
+
     def classify(self, h: Header) -> int:
         return classify(self._tree, h)
 
     def add(self, p: Predicate) -> APTree:
-        with self._lock, _writer_priority():
-            t = add_predicate(self._tree, p)
-            t = self._maybe_rebuild(t)
-            self._tree = t
-            return t
+        with self._lock:
+            self._tree = self._maybe_rebuild(add_predicate(self._tree, p))
+            return self._tree
 
     def remove(self, p: Predicate) -> APTree:
-        with self._lock, _writer_priority():
-            t = remove_predicate(self._tree, p)
-            t = self._maybe_rebuild(t)
-            self._tree = t
-            return t
+        with self._lock:
+            self._tree = self._maybe_rebuild(remove_predicate(self._tree, p))
+            return self._tree
 
     def rebuild(self) -> APTree:
-        with self._lock, _writer_priority():
-            t = rebuild(self._tree)
-            self._baseline_depth = avg_leaf_depth(t)
-            self.rebuild_count += 1
-            self._tree = t
-            return t
+        with self._lock:
+            self._tree = self._rebuild(self._tree, "manual")
+            return self._tree
 
     def _maybe_rebuild(self, t: APTree) -> APTree:
-        if t.structural_updates >= self.rebuild_after or (
-            len(t.atom_set) > 1
-            and float(avg_leaf_depth(t)) > float(self._baseline_depth) * self.depth_ratio
-        ):
-            t = rebuild(t)
-            self._baseline_depth = avg_leaf_depth(t)
-            self.rebuild_count += 1
+        self.updates += 1
+        if t.structural_updates >= self.rebuild_after:
+            return self._rebuild(t, "count")
+        if len(t.atom_set) > 1 and _mean_depth(t) > self._baseline_depth * self.depth_ratio:
+            return self._rebuild(t, "depth")
+        return t
+
+    def _rebuild(self, t: APTree, trigger: str) -> APTree:
+        start = time.perf_counter()
+        t = rebuild(t)
+        ms = (time.perf_counter() - start) * 1000.0
+        self._baseline_depth = _mean_depth(t)
+        self.rebuilds.append({"trigger": trigger, "update": self.updates, "ms": ms})
         return t

@@ -3,7 +3,10 @@ trace, update, labels, check, bench.
 
 All input and output is line-delimited JSON; diagnostics go to stderr.
 Exit codes: 0 success, 1 usage or parse error, 2 divergence or invariant
-failure, 3 internal error.
+failure, 3 internal error.  A bad input line (malformed JSON, a missing
+key, an out-of-range field value, an unknown ingress or op, an added
+constant predicate) is a usage error: it stops the command with exit 1 and
+a message naming the line.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import time
 from . import aptree, bench
 from .atoms import UnknownPredicate
 from .bdd import Header, Predicate
+from .behavior import BadIngress
 from .label_plane import equivalence_check, serialize_tables
 from .model import SnapshotError, parse_snapshot, _parse_match
 from .pipeline import Pipeline, build_pipeline
@@ -31,6 +35,15 @@ SMALL = HeaderLayout((("h", 4),))
 
 class UsageError(Exception):
     pass
+
+
+# what parsing one line of outside input raises when the line is bad
+# (json.JSONDecodeError and bdd.ValueOutOfRange are ValueErrors)
+_BAD_INPUT = (KeyError, TypeError, ValueError)
+
+
+def _bad_line(lineno: int, e: Exception) -> UsageError:
+    return UsageError(f"line {lineno}: {type(e).__name__}: {e}")
 
 
 def _load_pipeline(args) -> Pipeline:
@@ -48,7 +61,9 @@ def _load_pipeline(args) -> Pipeline:
     return build_pipeline(snapshot, strategy=strategy, seed=seed)
 
 
-def _parse_header(pipe: Pipeline, obj: dict) -> Header:
+def _parse_header(pipe: Pipeline, obj) -> Header:
+    if not isinstance(obj, dict):
+        raise TypeError(f"a header is a JSON object of field values, not {obj!r}")
     return pipe.snapshot.layout.header(obj)
 
 
@@ -151,13 +166,15 @@ def _tree_stats(tree) -> dict:
 
 def cmd_classify(args) -> int:
     pipe = _load_pipeline(args)
-    if args.header:
-        headers = [json.loads(args.header)]
-    else:
-        headers = [json.loads(line) for line in sys.stdin if line.strip()]
-    for obj in headers:
-        atom = aptree.classify(pipe.tree, _parse_header(pipe, obj))
-        print(json.dumps({"atom": atom}))
+    lines = [(1, args.header)] if args.header else enumerate(sys.stdin, 1)
+    for lineno, line in lines:
+        if not line.strip():
+            continue
+        try:
+            h = _parse_header(pipe, json.loads(line))
+        except _BAD_INPUT as e:
+            raise _bad_line(lineno, e) from e
+        print(json.dumps({"atom": aptree.classify(pipe.tree, h)}))
     return 0
 
 
@@ -165,13 +182,19 @@ def cmd_trace(args) -> int:
     from .behavior import identify
 
     pipe = _load_pipeline(args)
-    for line in sys.stdin:
+    for lineno, line in enumerate(sys.stdin, 1):
         if not line.strip():
             continue
-        obj = json.loads(line)
-        h = _parse_header(pipe, obj["header"])
-        ingress = tuple(obj["ingress"])
-        report = identify(pipe.tree, pipe.bmap, pipe.snapshot, h, ingress)
+        try:
+            obj = json.loads(line)
+            h = _parse_header(pipe, obj["header"])
+            ingress = tuple(obj["ingress"])
+        except _BAD_INPUT as e:
+            raise _bad_line(lineno, e) from e
+        try:
+            report = identify(pipe.tree, pipe.bmap, pipe.snapshot, h, ingress)
+        except BadIngress as e:
+            raise _bad_line(lineno, e) from e
         print(json.dumps(report.to_json()))
     return 0
 
@@ -183,25 +206,28 @@ def cmd_update(args) -> int:
     )
     latencies = []
     with open(args.updates) as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            pred = _resolve_update_pred(pipe, obj["pred"])
+            try:
+                obj = json.loads(line)
+                op = obj["op"]
+                pred = _resolve_update_pred(pipe, obj["pred"])
+            except _BAD_INPUT as e:
+                raise _bad_line(lineno, e) from e
+            if op not in ("add", "remove"):
+                raise UsageError(f"line {lineno}: unknown op {op!r}")
+            if op == "add" and (pipe.engine.is_true(pred) or pipe.engine.is_false(pred)):
+                raise UsageError(f"line {lineno}: cannot add a constant predicate")
             start = time.perf_counter()
             try:
-                if obj["op"] == "add":
-                    classifier.add(pred)
-                elif obj["op"] == "remove":
-                    classifier.remove(pred)
-                else:
-                    raise UsageError(f"unknown op {obj['op']!r}")
+                (classifier.add if op == "add" else classifier.remove)(pred)
             except UnknownPredicate as e:
-                print(json.dumps({"op": obj["op"], "error": str(e)}))
+                print(json.dumps({"op": op, "error": str(e)}))
                 continue
             ms = (time.perf_counter() - start) * 1000.0
             latencies.append(ms)
-            print(json.dumps({"op": obj["op"], "ms": round(ms, 4)}))
+            print(json.dumps({"op": op, "ms": round(ms, 4)}))
     s = sorted(latencies)
     summary = {
         "updates": len(latencies),
@@ -209,6 +235,7 @@ def cmd_update(args) -> int:
         "p95_ms": bench.percentile(s, 0.95),
         "p99_ms": bench.percentile(s, 0.99),
         "rebuilds": classifier.rebuild_count,
+        "rebuild_log": classifier.rebuilds,
     }
     summary.update(_tree_stats(classifier.tree))
     print(json.dumps(summary))

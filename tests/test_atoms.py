@@ -146,6 +146,19 @@ class TestRefine:
                 acc = acc | new.pred_of(i)
             assert acc == p
 
+    def test_fresh_ids_follow_atom_order(self, small_engine):
+        aset = compute_atoms(small_engine, [prefix(small_engine, 8, 1)])
+        aset, _ = refine(aset, prefix(small_engine, 4, 2))  # 0*** -> 2, 3
+        aset, _ = refine(aset, prefix(small_engine, 12, 2))  # 1*** -> 4, 5
+        assert aset.order == (4, 5, 2, 3)
+        odd = small_engine.false_
+        for v in range(1, 16, 2):
+            odd = odd | small_engine.match(FieldConstraint.exact("h", v))
+        new, splits = refine(aset, odd)
+        # ids are handed out along the order, not by old id
+        assert splits == {4: (6, 7), 5: (8, 9), 2: (10, 11), 3: (12, 13)}
+        assert new.order == tuple(range(6, 14))
+
     def test_duplicate_refine_is_noop(self, small_engine):
         p1 = prefix(small_engine, 8, 1)
         aset = compute_atoms(small_engine, [p1])

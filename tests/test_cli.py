@@ -133,6 +133,20 @@ class TestGenAndUpdate:
         assert summary["updates"] > 0
         assert "p95_ms" in summary
 
+    def test_update_reports_rebuild_triggers(self, capsys, tmp_path):
+        snap = tmp_path / "snap.json"
+        upd = tmp_path / "upd.jsonl"
+        run(capsys, "gen", "--seed", "5", "--boxes", "3", "--out", str(snap),
+            "--updates-out", str(upd), "--update-count", "20")
+        code, out, _ = run(capsys, "update", "--snapshot", str(snap),
+                           "--updates", str(upd), "--rebuild-threshold", "8")
+        assert code == 0
+        summary = json.loads(out.strip().splitlines()[-1])
+        log = summary["rebuild_log"]
+        assert summary["rebuilds"] == len(log) >= 2
+        assert {r["trigger"] for r in log} <= {"count", "depth"}
+        assert all(r["ms"] >= 0 and r["update"] > 0 for r in log)
+
     def test_update_by_rule_reference(self, capsys, snapshot_file, tmp_path):
         upd = tmp_path / "upd.jsonl"
         upd.write_text(
@@ -143,6 +157,51 @@ class TestGenAndUpdate:
         )
         assert code == 0
         assert json.loads(out.strip().splitlines()[-1])["updates"] == 1
+
+
+class TestBadInputLines:
+    """A bad input line is a usage error: exit 1, naming the line."""
+
+    def stdin(self, monkeypatch, text):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+
+    def test_trace_unknown_ingress(self, capsys, snapshot_file, monkeypatch):
+        self.stdin(monkeypatch,
+                   '{"header": {"h": 10}, "ingress": ["s1", "ext"]}\n'
+                   '{"header": {"h": 10}, "ingress": ["s1", "nope"]}\n')
+        code, out, err = run(capsys, "trace", "--snapshot", snapshot_file)
+        assert code == 1
+        assert len(out.strip().splitlines()) == 1
+        assert "line 2" in err and "BadIngress" in err
+
+    def test_trace_missing_header(self, capsys, snapshot_file, monkeypatch):
+        self.stdin(monkeypatch, '\n{"ingress": ["s1", "ext"]}\n')
+        code, _, err = run(capsys, "trace", "--snapshot", snapshot_file)
+        assert code == 1
+        assert "line 2" in err and "header" in err
+
+    def test_classify_out_of_range(self, capsys, snapshot_file, monkeypatch):
+        self.stdin(monkeypatch, '{"h": 3}\n{"h": 16}\n')
+        code, _, err = run(capsys, "classify", "--snapshot", snapshot_file)
+        assert code == 1
+        assert "line 2" in err and "ValueOutOfRange" in err
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"pred": {"box": "s2", "port": "pext"}}, "KeyError: 'op'"),
+        ({"op": "add", "pred": []}, "constant predicate"),
+    ])
+    def test_update_bad_line(self, capsys, snapshot_file, tmp_path, bad, message):
+        upd = tmp_path / "upd.jsonl"
+        upd.write_text(
+            json.dumps({"op": "remove", "pred": {"box": "s2", "port": "pext"}})
+            + "\n" + json.dumps(bad) + "\n"
+        )
+        code, out, err = run(
+            capsys, "update", "--snapshot", snapshot_file, "--updates", str(upd)
+        )
+        assert code == 1
+        assert len(out.strip().splitlines()) == 1
+        assert "line 2" in err and message in err
 
 
 class TestBenchAndExitCodes:

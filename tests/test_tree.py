@@ -1,9 +1,10 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from atomtrace import aptree
+from atomtrace import aptree, atoms
 from atomtrace.aptree import (
     GREEDY,
     RANDOM,
@@ -19,6 +20,9 @@ from atomtrace.aptree import (
 )
 from atomtrace.atoms import UnknownPredicate, atom_of_header, compute_atoms
 from atomtrace.bdd import Engine, FieldConstraint, HeaderLayout
+from atomtrace.model import _parse_match, parse_snapshot
+from atomtrace.pipeline import build_pipeline
+from atomtrace.workload import WorkloadSpec, generate, snapshot_bytes
 
 
 def prefix(engine, value, length):
@@ -298,6 +302,46 @@ class TestRebuild:
             assert small_engine.implies(cell, fresh_atom)
 
 
+def criterion_5_stream(seed):
+    """The update-correctness acceptance stream: 1,000 mixed updates."""
+    doc, updates, _ = generate(
+        WorkloadSpec(seed=seed, box_count=8, rules_per_box=(5, 15),
+                     prefix_len=(1, 16), update_count=1000, header_samples=0)
+    )
+    pipe = build_pipeline(parse_snapshot(snapshot_bytes(doc)))
+    layout = pipe.snapshot.layout
+    ops = [(u["op"], pipe.engine.match_all(_parse_match(u["pred"], layout, "update")))
+           for u in updates]
+    return pipe, ops
+
+
+class TestExactWriterPath:
+    """The tree-guided add and the merge rebuild against their references:
+    atoms.refine over every atom, compute_atoms, and the leaf walk."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_update_stream(self, seed):
+        pipe, ops = criterion_5_stream(seed)
+        tree = pipe.tree
+        for k, (op, pred) in enumerate(ops):
+            if op == "add":
+                expected, _ = atoms.refine(tree.atom_set, pred)
+                tree = add_predicate(tree, pred)
+                assert tree.atom_set == expected  # ids, predicates, order, membership
+            else:
+                tree = remove_predicate(tree, pred)
+            assert Fraction(tree.depth_sum, len(tree.atom_set)) == avg_leaf_depth(tree)
+            if k % 250 == 249:
+                fresh = compute_atoms(pipe.engine, tree.sources)
+                rebuilt = rebuild(tree)
+                assert rebuilt.atom_set == fresh
+                assert rebuilt.depth_sum == sum(d for _, d in aptree.leaves(rebuilt))
+
+    def test_merge_without_sources_is_one_atom(self, three_atoms):
+        engine, preds, aset = three_atoms
+        assert atoms.merge(aset, []) == compute_atoms(engine, [])
+
+
 class TestPublishedClassifier:
     def test_publication_and_rebuild_trigger(self, three_atoms):
         engine, preds, aset = three_atoms
@@ -309,6 +353,35 @@ class TestPublishedClassifier:
         assert pc.rebuild_count >= 1
         assert pc.tree.version > v0
         assert pc.tree.structural_updates == 0
+        assert [r["trigger"] for r in pc.rebuilds] == ["count"]
+        assert pc.rebuilds[0]["update"] == 3
+        pc.rebuild()
+        assert [r["trigger"] for r in pc.rebuilds] == ["count", "manual"]
+        assert all(r["ms"] >= 0 for r in pc.rebuilds)
+
+    def test_depth_trigger(self, small_engine):
+        p = prefix(small_engine, 8, 1)
+        pc = PublishedClassifier(
+            build(small_engine, compute_atoms(small_engine, [p]), [p])
+        )
+        # 11** splits the 1*** leaf: average depth 1 -> 5/3, past 1.5x
+        pc.add(prefix(small_engine, 12, 2))
+        assert pc.rebuilds == [
+            {"trigger": "depth", "update": 1, "ms": pc.rebuilds[0]["ms"]}
+        ]
+
+    def test_updates_leave_the_switch_interval_alone(self, three_atoms, monkeypatch):
+        def refuse(interval):
+            raise AssertionError("the writer changed the interpreter switch interval")
+
+        monkeypatch.setattr(sys, "setswitchinterval", refuse)
+        engine, preds, aset = three_atoms
+        pc = PublishedClassifier(build(engine, aset, preds))
+        p3 = prefix(engine, 0b1000, 3)
+        pc.add(p3)
+        pc.remove(p3)
+        pc.rebuild()
+        assert pc.rebuild_count == 1
 
     def test_concurrent_queries_during_updates(self, three_atoms):
         import threading
