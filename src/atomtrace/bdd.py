@@ -186,7 +186,9 @@ class Engine:
         self._lo = [0, 1]
         self._hi = [0, 1]
         self._unique: dict[tuple[int, int, int], int] = {}
-        self._cache: dict[tuple, int] = {}
+        # op cache: and/not keys are ints packed from the operand handles
+        # (each < 2**32; bit 0 tells and from not), exists keys are tuples
+        self._cache: dict[int | tuple, int] = {}
         self._count: dict[int, int] = {}
 
     # -- constants -----------------------------------------------------
@@ -306,7 +308,7 @@ class Engine:
             return a
         if a > b:
             a, b = b, a
-        key = ("and", a, b)
+        key = (a << 32 | b) << 1
         r = self._cache.get(key)
         if r is None:
             r = self._apply_and(a, b)
@@ -328,7 +330,7 @@ class Engine:
             return TRUE
         if a == TRUE:
             return FALSE
-        key = ("not", a)
+        key = a << 1 | 1
         r = self._cache.get(key)
         if r is None:
             r = self._mk(self._var[a], self._not(self._lo[a]), self._not(self._hi[a]))
@@ -374,6 +376,22 @@ class Engine:
         while n > TRUE:
             n = hi[n] if bits[var[n]] else lo[n]
         return n == TRUE
+
+    def witness(self, p: Predicate) -> Header:
+        """One header on which p holds: follow hi unless it is false; bits
+        off the path are 0."""
+        self._check(p)
+        if p.node == FALSE:
+            raise ValueError("the false predicate has no witness")
+        bits = [0] * self.width
+        n = p.node
+        while n > TRUE:
+            if self._hi[n] != FALSE:
+                bits[self._var[n]] = 1
+                n = self._hi[n]
+            else:
+                n = self._lo[n]
+        return Header(tuple(bits))
 
     def implies(self, a: Predicate, b: Predicate) -> bool:
         return self._and(a.node, b.node) == a.node

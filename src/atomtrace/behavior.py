@@ -14,6 +14,7 @@ from typing import Optional, Union
 from .atoms import AtomSet, UnknownPredicate, atom_of_header
 from .bdd import Engine, FieldConstraint, Header
 from .model import Box, NetworkSnapshot, CompiledNetwork
+from .rewrite import rewrite_image
 
 
 class MissingMembership(KeyError):
@@ -97,7 +98,7 @@ def compile_behavior_map(
 
     Requires the atom set to have been computed over all compiled predicates
     plus every rewrite-image predicate, so rewriter targets land in single
-    atoms (see label_plane.rewrite_image).
+    atoms (see rewrite.rewrite_image).
     """
     engine = compiled.engine
 
@@ -127,8 +128,6 @@ def compile_behavior_map(
     for box in snapshot.boxes:
         if box.rewrite is None:
             continue
-        from .label_plane import rewrite_image  # circular at import time otherwise
-
         match_pred = compiled.rewrite_match[box.id]
         mapping = {}
         for aid in members(match_pred):

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .atoms import AtomSet
-from .bdd import Engine, FieldConstraint, Header, Predicate
+from .bdd import Header
 from .behavior import (
     BadIngress,
     BehaviorMap,
@@ -23,63 +23,9 @@ from .behavior import (
     Loop,
     identify,
 )
-from .model import CompiledNetwork, NetworkSnapshot, RewriteSpec
-
-
-class ImageSplit(RuntimeError):
-    """A rewrite image straddles several atoms; the image predicate must be
-    added to the predicate set and atoms recomputed before building tables."""
-
-
-def rewrite_image(
-    engine: Engine, atom_set: AtomSet, spec: RewriteSpec, atom_id: int
-) -> int:
-    """Atom containing the headers produced by applying spec to this atom.
-
-    Image = project the matched part of the atom over the overwritten
-    fields, then pin those fields to their new constants.  Raises
-    ImageSplit when the image is not inside a single atom.
-    """
-    atom = atom_set.pred_of(atom_id)
-    matched = engine.conj(atom, engine.match_all(spec.match))
-    if engine.is_false(matched):
-        raise ValueError(f"atom {atom_id} does not intersect the rewrite match")
-    set_fields = [f for f, _ in spec.sets]
-    image = engine.exists(matched, set_fields)
-    for fname, value in spec.sets:
-        image = engine.conj(image, engine.match(FieldConstraint.exact(fname, value)))
-    targets = [i for i in atom_set.order if not engine.is_false(
-        engine.conj(image, atom_set.pred_of(i)))]
-    contained = [i for i in targets if engine.implies(image, atom_set.pred_of(i))]
-    if len(contained) == 1:
-        return contained[0]
-    raise ImageSplit(
-        f"image of atom {atom_id} straddles atoms {targets}; add it to the sources"
-    )
-
-
-def rewrite_image_pred(engine: Engine, atom: Predicate, spec: RewriteSpec) -> Predicate:
-    """The image predicate itself, for feeding back into the predicate set."""
-    matched = engine.conj(atom, engine.match_all(spec.match))
-    image = engine.exists(matched, [f for f, _ in spec.sets])
-    for fname, value in spec.sets:
-        image = engine.conj(image, engine.match(FieldConstraint.exact(fname, value)))
-    return image
-
-
-def rewrite_preimage_pred(
-    engine: Engine, target: Predicate, spec: RewriteSpec
-) -> Predicate:
-    """Headers whose rewritten form lands in the target predicate.
-
-    Refining the source atoms with these is what makes every atom's image
-    land in a single atom: an image that straddles k targets splits its
-    source atom into k cells with single-atom images.
-    """
-    pinned = target
-    for fname, value in spec.sets:
-        pinned = engine.conj(pinned, engine.match(FieldConstraint.exact(fname, value)))
-    return engine.exists(pinned, [f for f, _ in spec.sets])
+from .model import CompiledNetwork, NetworkSnapshot
+# the rewrite-image routine lives in rewrite.py; these stay importable here
+from .rewrite import ImageSplit, rewrite_image  # noqa: F401
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,9 @@ from . import aptree
 from .atoms import AtomSet, compute_atoms
 from .bdd import Engine, Predicate
 from .behavior import BehaviorMap, compile_behavior_map
-from .label_plane import (
-    LabelPlane,
-    build_label_plane,
-    rewrite_image_pred,
-    rewrite_preimage_pred,
-)
+from .label_plane import LabelPlane, build_label_plane
 from .model import CompiledNetwork, NetworkSnapshot, compile_network
+from .rewrite import image_atom, rewrite_preimage_pred, touched
 
 _MAX_IMAGE_ROUNDS = 100
 
@@ -48,6 +44,7 @@ def close_over_rewrites(
 ) -> tuple[tuple[Predicate, ...], AtomSet]:
     """Grow the predicate set until all rewrite images are atom-contained."""
     sources = list(compiled.all_preds)
+    known = {p.node for p in sources}
     rewriters = [b for b in snapshot.boxes if b.rewrite is not None]
     for _ in range(_MAX_IMAGE_ROUNDS):
         atom_set = compute_atoms(engine, sources)
@@ -62,25 +59,21 @@ def close_over_rewrites(
                 else atom_set.members_of(match_pred)
             )
             for aid in member_ids:
-                image = rewrite_image_pred(engine, atom_set.pred_of(aid), box.rewrite)
-                if engine.is_false(image):
-                    continue
-                contained = any(
-                    engine.implies(image, atom_set.pred_of(i)) for i in atom_set.order
+                image, target = image_atom(
+                    engine, atom_set, box.rewrite, atom_set.pred_of(aid)
                 )
-                if contained:
+                if target is not None or engine.is_false(image):
                     continue
                 # split the source atom by the preimage of every target the
                 # image touches, so each refined cell maps into one atom
-                for tid in atom_set.order:
-                    if engine.is_false(engine.conj(image, atom_set.pred_of(tid))):
-                        continue
+                for tid in touched(engine, atom_set, image):
                     pre = rewrite_preimage_pred(
                         engine, atom_set.pred_of(tid), box.rewrite
                     )
                     if engine.is_false(pre) or engine.is_true(pre):
                         continue
-                    if all(s.node != pre.node for s in sources):
+                    if pre.node not in known:
+                        known.add(pre.node)
                         sources.append(pre)
                         added = True
         if not added:

@@ -1,0 +1,84 @@
+"""Rewrite images and preimages of atoms under a header-rewriting box.
+
+A rewriter overwrites some fields with constants.  The image of an atom is
+the set of headers it produces; label rewriting is well defined only when
+every image lies inside a single atom.  Atoms are disjoint, so an image
+that lies in one atom lies in the atom of any one of its headers: one
+witness header and one implication decide containment, with no scan over
+the atoms.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from .atoms import AtomSet, atom_of_header
+from .bdd import Engine, FieldConstraint, Predicate
+from .model import RewriteSpec
+
+
+class ImageSplit(RuntimeError):
+    """A rewrite image straddles several atoms; the image predicate must be
+    added to the predicate set and atoms recomputed before building tables."""
+
+
+def _pin(engine: Engine, p: Predicate, spec: RewriteSpec) -> Predicate:
+    for fname, value in spec.sets:
+        p = engine.conj(p, engine.match(FieldConstraint.exact(fname, value)))
+    return p
+
+
+def image_atom(
+    engine: Engine, atom_set: AtomSet, spec: RewriteSpec, atom: Predicate
+) -> tuple[Predicate, Optional[int]]:
+    """The image of atom under spec, and the atom containing it.
+
+    Image = project the matched part of the atom over the overwritten
+    fields, then pin those fields to their new constants.  The second item
+    is None when the image is empty or straddles atoms.
+    """
+    matched = engine.conj(atom, engine.match_all(spec.match))
+    image = _pin(engine, engine.exists(matched, [f for f, _ in spec.sets]), spec)
+    if engine.is_false(image):
+        return image, None
+    aid = atom_of_header(atom_set, engine.witness(image))
+    return image, aid if engine.implies(image, atom_set.pred_of(aid)) else None
+
+
+def rewrite_image(
+    engine: Engine, atom_set: AtomSet, spec: RewriteSpec, atom_id: int
+) -> int:
+    """Atom containing the headers produced by applying spec to this atom.
+
+    Raises ValueError when the atom misses the rewrite match, and
+    ImageSplit when the image is not inside a single atom.
+    """
+    image, aid = image_atom(engine, atom_set, spec, atom_set.pred_of(atom_id))
+    if aid is not None:
+        return aid
+    if engine.is_false(image):
+        raise ValueError(f"atom {atom_id} does not intersect the rewrite match")
+    raise ImageSplit(
+        f"image of atom {atom_id} straddles atoms {touched(engine, atom_set, image)};"
+        " add it to the sources"
+    )
+
+
+def touched(engine: Engine, atom_set: AtomSet, p: Predicate) -> list[int]:
+    """Ids of the atoms p intersects, in atom order."""
+    return [
+        i for i in atom_set.order
+        if not engine.is_false(engine.conj(p, atom_set.pred_of(i)))
+    ]
+
+
+def rewrite_preimage_pred(
+    engine: Engine, target: Predicate, spec: RewriteSpec
+) -> Predicate:
+    """Headers whose rewritten form lands in the target predicate.
+
+    Refining the source atoms with these is what makes every atom's image
+    land in a single atom: an image that straddles k targets splits its
+    source atom into k cells with single-atom images.
+    """
+    return engine.exists(_pin(engine, target, spec), [f for f, _ in spec.sets])

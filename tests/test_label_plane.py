@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 
 import pytest
 
@@ -16,8 +17,9 @@ from atomtrace.label_plane import (
     serialize_tables,
     simulate_cloud,
 )
-from atomtrace.model import RewriteSpec, parse_snapshot
+from atomtrace.model import RewriteSpec, compile_network, parse_snapshot
 from atomtrace.pipeline import build_pipeline
+from atomtrace.workload import WorkloadSpec, generate
 from tests.conftest import doc_bytes
 
 
@@ -285,3 +287,122 @@ class TestPrivacyShape:
                     from atomtrace.bdd import Header
 
                     assert engine.eval(target, Header(tuple(bits)))
+
+
+# --- witness-located images against today's any-atom scan --------------------
+
+
+def reference_image(engine, atom, spec):
+    """Rewrite image built independently of atomtrace.rewrite."""
+    image = engine.exists(atom & engine.match_all(spec.match), [f for f, _ in spec.sets])
+    for fname, value in spec.sets:
+        image = image & engine.match(FieldConstraint.exact(fname, value))
+    return image
+
+
+def reference_preimage(engine, target, spec):
+    """Headers whose rewritten form lands in target: pin, then project."""
+    for fname, value in spec.sets:
+        target = target & engine.match(FieldConstraint.exact(fname, value))
+    return engine.exists(target, [f for f, _ in spec.sets])
+
+
+def reference_containing(engine, aset, image):
+    """Every atom that contains the image, by testing each one."""
+    return [i for i in aset.order if engine.implies(image, aset.pred_of(i))]
+
+
+def reference_build(engine, snap, compiled):
+    """Rewrite closure and atom rewrite map by scanning all atoms per image.
+
+    Returns (sources, atom set, atom_rewrite, closure rounds).
+    """
+    sources = list(compiled.all_preds)
+    rewriters = [b for b in snap.boxes if b.rewrite is not None]
+    rounds = 0
+    while True:
+        rounds += 1
+        aset = compute_atoms(engine, sources)
+        added = False
+        for box in rewriters:
+            match = compiled.rewrite_match[box.id]
+            ids = aset.order if engine.is_true(match) else aset.members_of(match)
+            for aid in ids:
+                image = reference_image(engine, aset.pred_of(aid), box.rewrite)
+                if engine.is_false(image) or reference_containing(engine, aset, image):
+                    continue
+                for tid in aset.order:
+                    target = aset.pred_of(tid)
+                    if engine.is_false(image & target):
+                        continue
+                    pre = reference_preimage(engine, target, box.rewrite)
+                    if engine.is_false(pre) or engine.is_true(pre):
+                        continue
+                    if all(s.node != pre.node for s in sources):
+                        sources.append(pre)
+                        added = True
+        if not added:
+            break
+    atom_rewrite = {}
+    for box in rewriters:
+        mapping = {}
+        for aid in aset.members_of(compiled.rewrite_match[box.id]):
+            image = reference_image(engine, aset.pred_of(aid), box.rewrite)
+            (mapping[aid],) = reference_containing(engine, aset, image)
+        atom_rewrite[box.id] = mapping
+    return tuple(sources), aset, atom_rewrite, rounds
+
+
+def nat_doc(acl_entry=None):
+    """perfbench's query snapshot: 30 boxes, 3 of them NAT boxes that match
+    a /4 dst prefix and set src.  acl_entry, when given, becomes the only
+    ACL entry of the first NAT box, inbound on its external port."""
+    doc, _, _ = generate(WorkloadSpec(
+        2, box_count=30, rules_per_box=(20, 40), prefix_len=(1, 12), header_samples=0
+    ))
+    rng = random.Random("nat:2")
+    nats = rng.sample(doc["boxes"], 3)
+    for box in nats:
+        box["kind"] = "rewriter"
+        box["rewrite"] = {
+            "match": [{"field": "dst", "kind": "prefix",
+                       "value": rng.getrandbits(4) << 28, "length": 4}],
+            "sets": [{"field": "src", "value": rng.getrandbits(32)}],
+        }
+    if acl_entry is not None:
+        nats[0]["acls"] = [{"port": nats[0]["ports"][-1], "dir": "in",
+                            "default": "permit", "entries": [acl_entry(nats[0])]}]
+    return doc
+
+
+def src_and_dst_entry(box):
+    """Deny src in the NAT constant's /1 and dst in a /14 inside the NAT
+    match.  Rules are at most /12, so the /14 cuts a dst cell in two, and
+    the image of that cell's atom straddles the entry's edge."""
+    dst = box["rewrite"]["match"][0]["value"] | 0b1011001110 << 18
+    src = box["rewrite"]["sets"][0]["value"]
+    return {"match": [{"field": "src", "kind": "prefix", "value": src, "length": 1},
+                      {"field": "dst", "kind": "prefix", "value": dst, "length": 14}],
+            "verdict": "deny"}
+
+
+class TestWitnessLocatedImages:
+    def assert_matches_reference(self, doc):
+        snap = parse_snapshot(doc_bytes(doc))
+        engine = Engine(snap.layout)
+        sources, aset, atom_rewrite, rounds = reference_build(
+            engine, snap, compile_network(snap, engine)
+        )
+        pipe = build_pipeline(snap, engine=engine)
+        assert pipe.sources == sources
+        assert pipe.atom_set.order == aset.order
+        assert pipe.atom_set.atoms == aset.atoms
+        assert pipe.atom_set.membership == aset.membership
+        assert pipe.bmap.atom_rewrite == atom_rewrite
+        return rounds
+
+    def test_nat_snapshot(self):
+        assert self.assert_matches_reference(nat_doc()) == 1
+
+    def test_straddling_images_take_a_second_round(self):
+        assert self.assert_matches_reference(nat_doc(src_and_dst_entry)) >= 2
