@@ -12,7 +12,6 @@ from .bdd import (
     Header,
     HeaderLayout,
     Predicate,
-    new_engine,
 )
 from .atoms import AtomSet, atom_of_header, compute_atoms
 from .model import NetworkSnapshot, compile_network, parse_snapshot
@@ -27,7 +26,6 @@ __all__ = [
     "Header",
     "HeaderLayout",
     "Predicate",
-    "new_engine",
     "AtomSet",
     "atom_of_header",
     "compute_atoms",

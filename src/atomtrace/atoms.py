@@ -4,9 +4,9 @@ every network predicate is a disjoint union of its blocks."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .bdd import Engine, EngineMismatch, Header, Predicate
+from .bdd import FALSE, TRUE, Engine, EngineMismatch, Header, Predicate
 
 
 class UnknownPredicate(KeyError):
@@ -46,44 +46,85 @@ class AtomSet:
 
 
 def compute_atoms(engine: Engine, preds: Sequence[Predicate]) -> AtomSet:
-    """Iterative refinement starting from {true}.
+    """The atoms of preds, read off all their BDDs in one memoised recursion.
 
-    Each predicate splits every current atom into its inside and outside
-    parts, keeping only nonempty ones.  Atom ids follow the final list
-    order, which is deterministic in the order of preds.
+    A cell is the set of headers on which exactly the same preds hold, so
+    it is named by its membership signature.  cells(vec) walks the preds
+    still undecided -- vec holds their (bit, node) pairs -- splitting all of
+    them at their lowest top variable: a node that reaches true sets its
+    bit, one that reaches false drops out.  It returns {signature: node} for
+    the cells below, joined over the two sides by one node each, so the
+    build creates only the atoms' own nodes and no op-cache entries.  Equals
+    refinement by preds in order (Yang & Lam) -- ids, predicates, order and
+    membership; see _atom_set for the order.
     """
     for p in preds:
         if p.engine is not engine:
             raise EngineMismatch("predicate from a different engine")
-    # each atom carries a bitmask of the predicates it is contained in, so
-    # membership falls out of refinement without a second implication pass
-    atoms: list[tuple[Predicate, int]] = [(engine.true_, 0)]
-    for k, p in enumerate(preds):
-        bit = 1 << k
-        refined: list[tuple[Predicate, int]] = []
-        for a, sig in atoms:
-            t = engine.conj(a, p)
-            if engine.is_false(t):
-                refined.append((a, sig))
-            elif t == a:
-                refined.append((a, sig | bit))
-            else:
-                refined.append((t, sig | bit))
-                refined.append((engine.diff(a, p), sig))
-        atoms = refined
-    by_id = {i: a for i, (a, _) in enumerate(atoms)}
-    membership = {}
-    for k, p in enumerate(preds):
-        bit = 1 << k
-        membership[p.node] = frozenset(
-            i for i, (_, sig) in enumerate(atoms) if sig & bit
-        )
+    var, lo, hi, mk = engine._var, engine._lo, engine._hi, engine._mk
+    memo: dict[tuple[tuple[int, int], ...], dict[int, int]] = {(): {0: TRUE}}
+
+    def split(vec, v, side):
+        sig, rest = 0, []
+        for bit, n in vec:
+            if var[n] == v:
+                n = side[n]
+            if n == TRUE:
+                sig |= bit
+            elif n != FALSE:
+                rest.append((bit, n))
+        below = cells(tuple(rest))
+        return {s | sig: c for s, c in below.items()} if sig else below
+
+    def cells(vec):
+        out = memo.get(vec)
+        if out is None:
+            v = min(var[n] for _, n in vec)
+            off, on = split(vec, v, lo), split(vec, v, hi)
+            out = {s: mk(v, c, on.get(s, FALSE)) for s, c in off.items()}
+            for s, c in on.items():
+                if s not in off:
+                    out[s] = mk(v, FALSE, c)
+            memo[vec] = out
+        return out
+
+    n = len(preds)
+    top = [(_pred_bit(k, n), p.node) for k, p in enumerate(preds)]
+    # at the terminals' sentinel variable only true and false split, each
+    # to itself: this sorts out the constant preds
+    found = split(top, engine.width, lo)
+    return _atom_set(engine, preds, {s: Predicate(engine, c) for s, c in found.items()})
+
+
+def _pred_bit(k: int, n: int) -> int:
+    """The signature bit of the k-th of n preds: the first is the top bit."""
+    return 1 << (n - 1 - k)
+
+
+def _atom_set(
+    engine: Engine, preds: Sequence[Predicate], cells: dict[int, Predicate]
+) -> AtomSet:
+    """The AtomSet of cells keyed by membership signature over preds.
+
+    Refinement by preds in order lists each atom's inside before its
+    outside, first pred deciding first; so atoms are ordered by the preds
+    they lie *outside*, first pred most significant: by descending
+    signature.  Membership is read off the signature bits.
+    """
+    n = len(preds)
+    sigs = sorted(cells, reverse=True)
+    members: list[list[int]] = [[] for _ in range(n)]
+    for j, s in enumerate(sigs):
+        while s:
+            low = s & -s
+            members[n - low.bit_length()].append(j)
+            s ^= low
     return AtomSet(
         engine=engine,
-        atoms=by_id,
-        order=tuple(range(len(atoms))),
-        membership=membership,
-        next_id=len(atoms),
+        atoms={j: cells[s] for j, s in enumerate(sigs)},
+        order=tuple(range(len(sigs))),
+        membership={p.node: frozenset(members[k]) for k, p in enumerate(preds)},
+        next_id=len(sigs),
     )
 
 
@@ -164,35 +205,22 @@ def merge(atom_set: AtomSet, preds: Sequence[Predicate]) -> AtomSet:
     drop_source keep it, so each cell lies in exactly one atom of preds:
     the atom of cells with the same membership signature.  Equals
     compute_atoms(engine, preds) -- ids, predicates, order and membership
-    -- at one disjunction per merged cell instead of a conjunction per
-    (atom, pred) pair.
+    -- at one disjunction per merged cell, without walking the preds'
+    BDDs.
     """
     engine = atom_set.engine
-    # compute_atoms lists its atoms in lexicographic signature order, the
-    # first pred most significant and inside before outside; so key each
-    # cell by the preds it lies *outside*, first pred in the top bit.
     n = len(preds)
-    key = dict.fromkeys(atom_set.order, (1 << n) - 1)
+    sig = dict.fromkeys(atom_set.order, 0)
     for k, p in enumerate(preds):
-        clear = ~(1 << (n - 1 - k))
+        bit = _pred_bit(k, n)
         for i in atom_set.members_of(p):
-            key[i] &= clear
+            sig[i] |= bit
     groups: dict[int, Predicate] = {}
     for i in atom_set.order:
-        g = key[i]
+        g = sig[i]
         a = atom_set.atoms[i]
         groups[g] = engine.disj(groups[g], a) if g in groups else a
-    new_id = {g: j for j, g in enumerate(sorted(groups))}
-    membership = {
-        p.node: frozenset(new_id[key[i]] for i in atom_set.members_of(p)) for p in preds
-    }
-    return AtomSet(
-        engine=engine,
-        atoms={j: groups[g] for g, j in new_id.items()},
-        order=tuple(range(len(new_id))),
-        membership=membership,
-        next_id=len(new_id),
-    )
+    return _atom_set(engine, preds, groups)
 
 
 def drop_source(atom_set: AtomSet, p: Predicate) -> AtomSet:

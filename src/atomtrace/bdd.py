@@ -186,8 +186,9 @@ class Engine:
         self._lo = [0, 1]
         self._hi = [0, 1]
         self._unique: dict[tuple[int, int, int], int] = {}
-        # op cache: and/not keys are ints packed from the operand handles
-        # (each < 2**32; bit 0 tells and from not), exists keys are tuples
+        # op cache: and/not/or/diff keys are ints packed from the operand
+        # handles (each < 2**32) with a 2-bit op tag -- and 0, not 1, or 2,
+        # diff 3; exists keys are tuples
         self._cache: dict[int | tuple, int] = {}
         self._count: dict[int, int] = {}
 
@@ -282,7 +283,7 @@ class Engine:
 
     def diff(self, a: Predicate, b: Predicate) -> Predicate:
         self._check(a, b)
-        return self._wrap(self._and(a.node, self._not(b.node)))
+        return self._wrap(self._diff(a.node, b.node))
 
     def combine(self, op: str, a: Predicate, b: Optional[Predicate] = None) -> Predicate:
         if op == "NOT":
@@ -308,29 +309,47 @@ class Engine:
             return a
         if a > b:
             a, b = b, a
-        key = (a << 32 | b) << 1
-        r = self._cache.get(key)
-        if r is None:
-            r = self._apply_and(a, b)
-            self._cache[key] = r
-        return r
-
-    def _apply_and(self, a: int, b: int) -> int:
-        va, vb = self._var[a], self._var[b]
-        v = min(va, vb)
-        a0, a1 = (self._lo[a], self._hi[a]) if va == v else (a, a)
-        b0, b1 = (self._lo[b], self._hi[b]) if vb == v else (b, b)
-        return self._mk(v, self._and(a0, b0), self._and(a1, b1))
+        return self._apply(self._and, (a << 32 | b) << 2, a, b)
 
     def _or(self, a: int, b: int) -> int:
-        return self._not(self._and(self._not(a), self._not(b)))
+        if a == TRUE or b == TRUE:
+            return TRUE
+        if a == FALSE:
+            return b
+        if b == FALSE or a == b:
+            return a
+        if a > b:
+            a, b = b, a
+        return self._apply(self._or, (a << 32 | b) << 2 | 2, a, b)
+
+    def _diff(self, a: int, b: int) -> int:
+        if a == FALSE or b == TRUE or a == b:
+            return FALSE
+        if b == FALSE:
+            return a
+        if a == TRUE:
+            return self._not(b)
+        return self._apply(self._diff, (a << 32 | b) << 2 | 3, a, b)
+
+    def _apply(self, op, key: int, a: int, b: int) -> int:
+        """op(a, b) for two internal nodes: split both at the top variable
+        and join op over the cofactors, memoised under key."""
+        r = self._cache.get(key)
+        if r is None:
+            va, vb = self._var[a], self._var[b]
+            v = min(va, vb)
+            a0, a1 = (self._lo[a], self._hi[a]) if va == v else (a, a)
+            b0, b1 = (self._lo[b], self._hi[b]) if vb == v else (b, b)
+            r = self._mk(v, op(a0, b0), op(a1, b1))
+            self._cache[key] = r
+        return r
 
     def _not(self, a: int) -> int:
         if a == FALSE:
             return TRUE
         if a == TRUE:
             return FALSE
-        key = a << 1 | 1
+        key = a << 2 | 1
         r = self._cache.get(key)
         if r is None:
             r = self._mk(self._var[a], self._not(self._lo[a]), self._not(self._hi[a]))
@@ -459,6 +478,3 @@ def _range_prefixes(lo: int, hi: int, width: int) -> list[tuple[int, int]]:
         lo += step
     return out
 
-
-def new_engine(layout: HeaderLayout) -> Engine:
-    return Engine(layout)

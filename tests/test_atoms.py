@@ -1,8 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from atomtrace.atoms import (
+    AtomSet,
     UnknownPredicate,
     atom_of_header,
     compute_atoms,
@@ -10,6 +12,11 @@ from atomtrace.atoms import (
     refine,
 )
 from atomtrace.bdd import Engine, EngineMismatch, FieldConstraint, HeaderLayout
+from atomtrace.model import compile_network, parse_snapshot
+from atomtrace.pipeline import build_pipeline
+from atomtrace.workload import WorkloadSpec, generate
+from tests.conftest import doc_bytes
+from tests.test_label_plane import nat_doc, src_and_dst_entry
 
 
 def prefix(engine, value, length):
@@ -176,3 +183,127 @@ class TestRefine:
             smaller.members_of(p2)
         with pytest.raises(UnknownPredicate):
             drop_source(smaller, p2)
+
+
+def reference_atoms(engine, preds):
+    """Iterative refinement starting from {true} (Yang & Lam).
+
+    Each predicate splits every current atom into its inside and outside
+    parts, keeping only nonempty ones.  Atom ids follow the final list
+    order, which is deterministic in the order of preds.
+    """
+    for p in preds:
+        if p.engine is not engine:
+            raise EngineMismatch("predicate from a different engine")
+    # each atom carries a bitmask of the predicates it is contained in, so
+    # membership falls out of refinement without a second implication pass
+    atoms = [(engine.true_, 0)]
+    for k, p in enumerate(preds):
+        bit = 1 << k
+        refined = []
+        for a, sig in atoms:
+            t = engine.conj(a, p)
+            if engine.is_false(t):
+                refined.append((a, sig))
+            elif t == a:
+                refined.append((a, sig | bit))
+            else:
+                refined.append((t, sig | bit))
+                refined.append((engine.diff(a, p), sig))
+        atoms = refined
+    by_id = {i: a for i, (a, _) in enumerate(atoms)}
+    membership = {}
+    for k, p in enumerate(preds):
+        bit = 1 << k
+        membership[p.node] = frozenset(
+            i for i, (_, sig) in enumerate(atoms) if sig & bit
+        )
+    return AtomSet(
+        engine=engine,
+        atoms=by_id,
+        order=tuple(range(len(atoms))),
+        membership=membership,
+        next_id=len(atoms),
+    )
+
+
+def assert_same_atoms(got, want):
+    assert got.order == want.order
+    assert got.atoms == want.atoms
+    assert got.membership == want.membership
+    assert got.next_id == want.next_id
+
+
+def pred_of_headers(engine, mask):
+    """The predicate true exactly on the headers whose int is set in mask."""
+    layout = engine.layout
+    p = engine.false_
+    for v in range(1 << layout.total_width):
+        if mask >> v & 1:
+            h = layout.header_from_int(v)
+            p = p | engine.match_all(
+                FieldConstraint.exact(name, layout.field_value(h, name))
+                for name, _ in layout.fields
+            )
+    return p
+
+
+@st.composite
+def header_set_lists(draw, width):
+    """Header-set masks to build predicates from, with false, true and
+    repeats drawn often."""
+    full = (1 << (1 << width)) - 1
+    mask = st.one_of(st.just(0), st.just(full), st.integers(0, full))
+    base = draw(st.lists(mask, max_size=6))
+    repeats = draw(st.lists(st.sampled_from(base), max_size=2)) if base else []
+    return draw(st.permutations(base + repeats))
+
+
+LAYOUTS = {
+    "one field": HeaderLayout((("h", 4),)),
+    "two fields": HeaderLayout((("a", 2), ("b", 3))),
+}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_compute_atoms_equals_refinement(layout, data):
+    engine = Engine(layout)
+    masks = data.draw(header_set_lists(layout.total_width))
+    preds = [pred_of_headers(engine, m) for m in masks]
+    assert_same_atoms(compute_atoms(engine, preds), reference_atoms(engine, preds))
+
+
+def live_update_doc():
+    doc, _, _ = generate(WorkloadSpec(
+        2, box_count=30, rules_per_box=(20, 40), prefix_len=(1, 12), header_samples=0
+    ))
+    return doc
+
+
+def seed_23_doc():
+    doc, _, _ = generate(WorkloadSpec(
+        23, box_count=50, rules_per_box=(100, 200), prefix_len=(1, 12), header_samples=0
+    ))
+    return doc
+
+
+class TestComputeAtomsOnSnapshots:
+    """perfbench's query and live-update snapshots and the seed-23 snapshot."""
+
+    @pytest.mark.parametrize(
+        "make_doc", [nat_doc, live_update_doc, seed_23_doc],
+        ids=["query", "live-update", "seed-23"],
+    )
+    def test_compiled_predicates(self, make_doc):
+        snap = parse_snapshot(doc_bytes(make_doc()))
+        engine = Engine(snap.layout)
+        preds = compile_network(snap, engine).all_preds
+        assert_same_atoms(compute_atoms(engine, preds), reference_atoms(engine, preds))
+
+    def test_rewrite_closure_sources(self):
+        # images that straddle atoms add preimages to the compiled predicates
+        pipe = build_pipeline(parse_snapshot(doc_bytes(nat_doc(src_and_dst_entry))))
+        assert len(pipe.sources) > len(pipe.compiled.all_preds)
+        assert_same_atoms(pipe.atom_set, reference_atoms(pipe.engine, pipe.sources))

@@ -271,6 +271,33 @@ def test_algebra_laws(e1, e2):
     assert engine.sat_count(p) + engine.sat_count(~p) == 1 << 12
 
 
+@settings(max_examples=60, deadline=None)
+@given(expressions(), expressions())
+def test_direct_or_and_diff_match_their_definitions(e1, e2):
+    engine = Engine(WIDE)
+    p, q = build_pred(engine, e1), build_pred(engine, e2)
+    assert (p | q) == ~(~p & ~q)
+    assert (p - q) == (p & ~q)
+    assert (q - p) == (q & ~p)
+
+
+def test_ops_on_one_operand_pair_keep_their_own_results(small_engine):
+    """and, or, diff and not share one op cache: each must get its own entry
+    for the same operands."""
+    p = small_engine.match(FieldConstraint.range_("h", 3, 12))
+    q = small_engine.match(FieldConstraint.prefix("h", 0b0100, 2)) | \
+        small_engine.match(FieldConstraint.exact("h", 0b1011))
+    sp, sq = brute_set(small_engine, p), brute_set(small_engine, q)
+    every = set(range(16))
+    for _ in range(2):  # the second pass reads every result from the cache
+        assert brute_set(small_engine, p & q) == sp & sq
+        assert brute_set(small_engine, p | q) == sp | sq
+        assert brute_set(small_engine, p - q) == sp - sq
+        assert brute_set(small_engine, q - p) == sq - sp
+        assert brute_set(small_engine, ~p) == every - sp
+        assert brute_set(small_engine, ~q) == every - sq
+
+
 @settings(max_examples=40, deadline=None)
 @given(expressions())
 def test_sat_count_matches_truth_table(expr):
