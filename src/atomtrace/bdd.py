@@ -159,14 +159,6 @@ class Predicate:
         return hash((id(self.engine), self.node))
 
 
-@dataclass(frozen=True)
-class QueryResult:
-    is_false: bool
-    is_true: bool
-    sat_count: int
-    node_count: int
-
-
 FALSE = 0
 TRUE = 1
 
@@ -284,21 +276,6 @@ class Engine:
     def diff(self, a: Predicate, b: Predicate) -> Predicate:
         self._check(a, b)
         return self._wrap(self._diff(a.node, b.node))
-
-    def combine(self, op: str, a: Predicate, b: Optional[Predicate] = None) -> Predicate:
-        if op == "NOT":
-            if b is not None:
-                raise ValueError("NOT takes one operand")
-            return self.neg(a)
-        if b is None:
-            raise ValueError(f"{op} takes two operands")
-        if op == "AND":
-            return self.conj(a, b)
-        if op == "OR":
-            return self.disj(a, b)
-        if op == "DIFF":
-            return self.diff(a, b)
-        raise ValueError(f"unknown op {op!r}")
 
     def _and(self, a: int, b: int) -> int:
         if a == FALSE or b == FALSE:
@@ -442,29 +419,6 @@ class Engine:
             )
             self._count[n] = r
         return r
-
-    def node_count(self, p: Predicate) -> int:
-        """Number of internal decision nodes reachable from p."""
-        self._check(p)
-        seen = set()
-        stack = [p.node]
-        while stack:
-            n = stack.pop()
-            if n <= TRUE or n in seen:
-                continue
-            seen.add(n)
-            stack.append(self._lo[n])
-            stack.append(self._hi[n])
-        return len(seen)
-
-    def query(self, p: Predicate) -> QueryResult:
-        sc = self.sat_count(p)
-        return QueryResult(
-            is_false=sc == 0,
-            is_true=sc == (1 << self.width),
-            sat_count=sc,
-            node_count=self.node_count(p),
-        )
 
 
 def _range_prefixes(lo: int, hi: int, width: int) -> list[tuple[int, int]]:

@@ -1,9 +1,11 @@
 """Network-wide behavior of a classified packet: path, drop point, or loop.
 
-Two implementations of the same semantics live here.  The atom-level path
-(compile_behavior_map + trace + identify) is the fast production path; the
-raw-header reference simulator walks rules and ACL entries directly and is
-used as an independent oracle in tests and checks.
+Two implementations of the same semantics live here.  The table path is
+the production path: compile_behavior_map builds one atom-keyed table per
+box, and walk is the one hop loop over them, which trace runs on atom ids
+and the label plane on labels.  The raw-header reference simulator walks
+rules and ACL entries directly and is used as an independent oracle in
+tests and checks.
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from .aptree import classify
 from .atoms import AtomSet, UnknownPredicate, atom_of_header
-from .bdd import Engine, FieldConstraint, Header
+from .bdd import FieldConstraint, Header
 from .model import Box, NetworkSnapshot, CompiledNetwork
 from .rewrite import rewrite_image
 
@@ -80,13 +83,30 @@ class BehaviorReport:
 
 
 @dataclass(frozen=True)
+class BoxTable:
+    """One box's behavior as lookups keyed by atom id, or by label once relabelled."""
+
+    forward: dict[int, str]  # key -> out port
+    drop: frozenset[int]  # keys whose winning rule drops
+    acl_permit: dict[tuple[str, str], frozenset[int]]  # (port, dir) -> keys
+    rewrite: dict[int, int]  # key -> key
+
+    def relabel(self, new: dict[int, int]) -> "BoxTable":
+        """The same table with every key k replaced by new[k]."""
+        return BoxTable(
+            {new[k]: port for k, port in self.forward.items()},
+            frozenset(new[k] for k in self.drop),
+            {pd: frozenset(new[k] for k in ks) for pd, ks in self.acl_permit.items()},
+            {new[a]: new[b] for a, b in self.rewrite.items()},
+        )
+
+
+@dataclass(frozen=True)
 class BehaviorMap:
     """Per-box behavior resolved down to atom ids."""
 
-    port_atoms: dict[tuple[str, str], frozenset[int]]
-    drop_atoms: dict[str, frozenset[int]]
-    permit_atoms: dict[tuple[str, str, str], frozenset[int]]  # (box, port, dir)
-    atom_rewrite: dict[str, dict[int, int]]  # box -> atom -> atom
+    tables: dict[str, BoxTable]  # box -> table keyed by atom id
+    atom_rewrite: dict[str, dict[int, int]]  # rewriter box -> its table's rewrite
 
 
 def compile_behavior_map(
@@ -112,29 +132,81 @@ def compile_behavior_map(
         except UnknownPredicate as e:
             raise MissingMembership(str(e)) from e
 
-    port_atoms = {k: members(p) for k, p in compiled.port_preds.items()}
-    drop_atoms = {b: members(p) for b, p in compiled.drop_preds.items()}
-    permit_atoms = {k: members(p) for k, p in compiled.acl_preds.items()}
-
-    # per-box uniqueness of the outgoing port for each atom
-    by_box: dict[str, set[int]] = {}
-    for (b, _), ats in port_atoms.items():
-        seen = by_box.setdefault(b, set())
-        overlap = seen & ats
-        assert not overlap, f"box {b}: atoms {overlap} reach two ports"
-        seen |= ats
-
+    tables: dict[str, BoxTable] = {}
     atom_rewrite: dict[str, dict[int, int]] = {}
     for box in snapshot.boxes:
-        if box.rewrite is None:
-            continue
-        match_pred = compiled.rewrite_match[box.id]
-        mapping = {}
-        for aid in members(match_pred):
-            mapping[aid] = rewrite_image(engine, atom_set, box.rewrite, aid)
-        atom_rewrite[box.id] = mapping
+        forward: dict[int, str] = {}
+        for port in box.ports:
+            for aid in members(compiled.port_preds[(box.id, port)]):
+                assert aid not in forward, f"box {box.id}: atom {aid} reaches two ports"
+                forward[aid] = port
+        drop = members(compiled.drop_preds.get(box.id, engine.false_))
+        acl_permit = {
+            (acl.port, acl.direction): members(
+                compiled.acl_preds[(box.id, acl.port, acl.direction)]
+            )
+            for acl in box.acls
+        }
+        rewrite: dict[int, int] = {}
+        if box.rewrite is not None:
+            for aid in members(compiled.rewrite_match[box.id]):
+                rewrite[aid] = rewrite_image(engine, atom_set, box.rewrite, aid)
+            atom_rewrite[box.id] = rewrite
+        tables[box.id] = BoxTable(forward, drop, acl_permit, rewrite)
+    return BehaviorMap(tables, atom_rewrite)
 
-    return BehaviorMap(port_atoms, drop_atoms, permit_atoms, atom_rewrite)
+
+def walk(
+    tables: dict[str, BoxTable],
+    snapshot: NetworkSnapshot,
+    key: int,
+    ingress: tuple[str, str],
+) -> BehaviorReport:
+    """Follow a packet with the given table key from an external ingress port.
+
+    Per box: inbound ACL, then the forwarding port for the key, then
+    outbound ACL, then key rewrite, then the link.  A key missing from a
+    box's forwarding table is dropped there.  Loop detection keys on
+    (box, key) because rewriters may legitimately bring a packet back to a
+    box with a different key.  Hop records carry the key in the atom slot.
+    """
+    if ingress not in snapshot.external_ports:
+        raise BadIngress(f"{ingress} is not an external port")
+    link_map = snapshot.link_map
+    box_id, in_port = ingress
+    hops: list[Hop] = []
+    visited: set[tuple[str, int]] = set()
+
+    while True:
+        state = (box_id, key)
+        if state in visited:
+            hops.append(Hop(box_id, in_port, key))
+            return BehaviorReport(tuple(hops), Loop(box_id, key))
+        visited.add(state)
+        table = tables[box_id]
+
+        permit = table.acl_permit.get((in_port, "in"))
+        if permit is not None and key not in permit:
+            hops.append(Hop(box_id, in_port, key))
+            return BehaviorReport(tuple(hops), Dropped(box_id, "acl_in"))
+
+        out_port = table.forward.get(key)
+        if out_port is None:
+            hops.append(Hop(box_id, in_port, key))
+            reason = "rule_drop" if key in table.drop else "no_route"
+            return BehaviorReport(tuple(hops), Dropped(box_id, reason))
+
+        permit = table.acl_permit.get((out_port, "out"))
+        if permit is not None and key not in permit:
+            hops.append(Hop(box_id, in_port, key, out_port))
+            return BehaviorReport(tuple(hops), Dropped(box_id, "acl_out"))
+
+        hops.append(Hop(box_id, in_port, key, out_port))
+        key = table.rewrite.get(key, key)
+
+        if (box_id, out_port) in snapshot.external_ports:
+            return BehaviorReport(tuple(hops), Delivered(box_id, out_port))
+        box_id, in_port = link_map[(box_id, out_port)]
 
 
 def trace(
@@ -143,58 +215,8 @@ def trace(
     atom_id: int,
     ingress: tuple[str, str],
 ) -> BehaviorReport:
-    """Follow a packet of the given atom from an external ingress port.
-
-    Per box: inbound ACL, then the unique forwarding port for the atom,
-    then outbound ACL, then label/atom rewrite, then the link.  Loop
-    detection keys on (box, atom) because rewriters may legitimately bring
-    a packet back to a box with a different atom.
-    """
-    if ingress not in snapshot.external_ports:
-        raise BadIngress(f"{ingress} is not an external port")
-    box_map = snapshot.box_map
-    link_map = snapshot.link_map
-    box_id, in_port = ingress
-    atom = atom_id
-    hops: list[Hop] = []
-    visited: set[tuple[str, int]] = set()
-
-    while True:
-        state = (box_id, atom)
-        if state in visited:
-            hops.append(Hop(box_id, in_port, atom))
-            return BehaviorReport(tuple(hops), Loop(box_id, atom))
-        visited.add(state)
-
-        permit = bmap.permit_atoms.get((box_id, in_port, "in"))
-        if permit is not None and atom not in permit:
-            hops.append(Hop(box_id, in_port, atom))
-            return BehaviorReport(tuple(hops), Dropped(box_id, "acl_in"))
-
-        out_port = None
-        for port in box_map[box_id].ports:
-            if atom in bmap.port_atoms[(box_id, port)]:
-                out_port = port
-                break
-        if out_port is None:
-            hops.append(Hop(box_id, in_port, atom))
-            reason = "rule_drop" if atom in bmap.drop_atoms.get(box_id, ()) else "no_route"
-            return BehaviorReport(tuple(hops), Dropped(box_id, reason))
-
-        permit = bmap.permit_atoms.get((box_id, out_port, "out"))
-        if permit is not None and atom not in permit:
-            hops.append(Hop(box_id, in_port, atom, out_port))
-            return BehaviorReport(tuple(hops), Dropped(box_id, "acl_out"))
-
-        hops.append(Hop(box_id, in_port, atom, out_port))
-
-        mapping = bmap.atom_rewrite.get(box_id)
-        if mapping is not None and atom in mapping:
-            atom = mapping[atom]
-
-        if (box_id, out_port) in snapshot.external_ports:
-            return BehaviorReport(tuple(hops), Delivered(box_id, out_port))
-        box_id, in_port = link_map[(box_id, out_port)]
+    """Follow a packet of the given atom from an external ingress port."""
+    return walk(bmap.tables, snapshot, atom_id, ingress)
 
 
 def identify(
@@ -205,8 +227,6 @@ def identify(
     ingress: tuple[str, str],
 ) -> BehaviorReport:
     """The end-to-end two-stage query: classify then trace."""
-    from .aptree import classify
-
     return trace(bmap, snapshot, classify(tree, h), ingress)
 
 

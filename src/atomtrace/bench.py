@@ -1,9 +1,8 @@
-"""Throughput and update-latency measurements against a built pipeline."""
+"""Throughput and update-latency-under-load measurements on a classification tree."""
 
 from __future__ import annotations
 
 import os
-import resource
 import threading
 import time
 from dataclasses import dataclass
@@ -12,7 +11,6 @@ from typing import Callable, Optional, Sequence
 from . import aptree
 from .aptree import PublishedClassifier
 from .bdd import Header, Predicate
-from .pipeline import Pipeline
 
 
 def percentile(sorted_values: Sequence[float], q: float) -> float:
@@ -120,46 +118,3 @@ def run_updates_under_load(
         for t in threads:
             t.join()
     return UpdateRun(latencies, sum(errors), sum(done))
-
-
-def peak_memory_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
-def bench_pipeline(
-    pipe: Pipeline,
-    queries: int = 100_000,
-    threads: int = 1,
-    update_ops: Sequence[tuple[str, Predicate]] = (),
-    seed: int = 0,
-) -> dict:
-    import random
-
-    rng = random.Random(seed)
-    layout = pipe.snapshot.layout
-    headers = [
-        layout.header({n: rng.getrandbits(w) for n, w in layout.fields})
-        for _ in range(min(queries, 10_000))
-    ]
-    # repeat the sample up to the requested volume
-    reps = max(1, queries // len(headers))
-    sample = headers * reps
-
-    result = {
-        "atom_count": len(pipe.atom_set),
-        "avg_leaf_depth": float(aptree.avg_leaf_depth(pipe.tree)),
-        "queries": len(sample),
-        "queries_per_sec": {"1": classify_throughput(pipe.tree, sample)},
-    }
-    if threads > 1:
-        result["queries_per_sec"][str(threads)] = parallel_throughput(
-            pipe.tree, sample, threads
-        )
-    if update_ops:
-        classifier = PublishedClassifier(pipe.tree)
-        run = run_updates_under_load(classifier, update_ops, headers)
-        result["update_ms"] = run.percentiles()
-        result["update_count"] = len(run.latencies_ms)
-        result["queries_during_updates"] = run.queries_done
-    result["peak_mem_mb"] = peak_memory_mb()
-    return result

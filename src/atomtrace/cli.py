@@ -1,5 +1,5 @@
 """Command-line entry point: gen, compile, atoms, tree-stats, classify,
-trace, update, labels, check, bench.
+trace, update, labels, check.
 
 All input and output is line-delimited JSON; diagnostics go to stderr.
 Exit codes: 0 success, 1 usage or parse error, 2 divergence or invariant
@@ -21,7 +21,7 @@ import time
 from . import aptree, bench
 from .atoms import UnknownPredicate
 from .bdd import Header, Predicate
-from .behavior import BadIngress
+from .behavior import BadIngress, identify
 from .label_plane import equivalence_check, serialize_tables
 from .model import SnapshotError, parse_snapshot, _parse_match
 from .pipeline import Pipeline, build_pipeline
@@ -179,8 +179,6 @@ def cmd_classify(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    from .behavior import identify
-
     pipe = _load_pipeline(args)
     for lineno, line in enumerate(sys.stdin, 1):
         if not line.strip():
@@ -285,22 +283,6 @@ def cmd_check(args) -> int:
     return 0 if report.ok else 2
 
 
-def cmd_bench(args) -> int:
-    pipe = _load_pipeline(args)
-    ops = []
-    if args.updates:
-        with open(args.updates) as f:
-            for line in f:
-                if line.strip():
-                    obj = json.loads(line)
-                    ops.append((obj["op"], _resolve_update_pred(pipe, obj["pred"])))
-    result = bench.bench_pipeline(
-        pipe, queries=args.queries, threads=args.threads, update_ops=ops, seed=args.seed
-    )
-    print(json.dumps(result))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="atomtrace")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -330,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("update", cmd_update),
         ("labels", cmd_labels),
         ("check", cmd_check),
-        ("bench", cmd_bench),
     ]:
         p = add(name, fn)
         p.add_argument("--snapshot", required=True)
@@ -346,10 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "check":
             p.add_argument("--exhaustive", action="store_true")
             p.add_argument("--sample", type=int, default=1000)
-        if name == "bench":
-            p.add_argument("--queries", type=int, default=100_000)
-            p.add_argument("--threads", type=int, default=1)
-            p.add_argument("--updates")
 
     return parser
 

@@ -11,31 +11,11 @@ import hashlib
 from dataclasses import dataclass
 from typing import Iterable
 
+from .aptree import classify
 from .atoms import AtomSet
 from .bdd import Header
-from .behavior import (
-    BadIngress,
-    BehaviorMap,
-    BehaviorReport,
-    Delivered,
-    Dropped,
-    Hop,
-    Loop,
-    identify,
-)
-from .model import CompiledNetwork, NetworkSnapshot
-# the rewrite-image routine lives in rewrite.py; these stay importable here
-from .rewrite import ImageSplit, rewrite_image  # noqa: F401
-
-
-@dataclass(frozen=True)
-class BoxTable:
-    """Label-only behavior of one in-cloud box."""
-
-    forward: dict[int, str]  # label -> out port
-    drop: frozenset[int]  # labels whose winning rule drops
-    acl_permit: dict[tuple[str, str], frozenset[int]]  # (port, dir) -> labels
-    rewrite: dict[int, int]  # label -> label
+from .behavior import BehaviorMap, BehaviorReport, BoxTable, Hop, Loop, trace, walk
+from .model import NetworkSnapshot
 
 
 @dataclass(frozen=True)
@@ -76,34 +56,11 @@ def _assign_labels(atom_ids: Iterable[int], agent_key: int) -> dict[int, int]:
     return labels
 
 
-def build_label_plane(
-    atom_set: AtomSet,
-    compiled: CompiledNetwork,
-    snapshot: NetworkSnapshot,
-    agent_key: int,
-    bmap: BehaviorMap,
-) -> LabelPlane:
-    """Convert every box's atom-level behavior to label tables."""
+def build_label_plane(atom_set: AtomSet, agent_key: int, bmap: BehaviorMap) -> LabelPlane:
+    """Relabel every box's atom-keyed table with keyed labels."""
     label_of = _assign_labels(atom_set.order, agent_key)
     atom_of = {l: a for a, l in label_of.items()}
-
-    tables: dict[str, BoxTable] = {}
-    for box in snapshot.boxes:
-        forward: dict[int, str] = {}
-        for port in box.ports:
-            for aid in bmap.port_atoms[(box.id, port)]:
-                forward[label_of[aid]] = port
-        drop = frozenset(label_of[aid] for aid in bmap.drop_atoms.get(box.id, ()))
-        acl_permit = {
-            (port, direction): frozenset(label_of[aid] for aid in atoms)
-            for (b, port, direction), atoms in bmap.permit_atoms.items()
-            if b == box.id
-        }
-        rewrite = {
-            label_of[a]: label_of[b]
-            for a, b in bmap.atom_rewrite.get(box.id, {}).items()
-        }
-        tables[box.id] = BoxTable(forward, drop, acl_permit, rewrite)
+    tables = {b: t.relabel(label_of) for b, t in bmap.tables.items()}
     return LabelPlane(label_of, atom_of, tables)
 
 
@@ -115,50 +72,10 @@ def simulate_cloud(
 ) -> BehaviorReport:
     """Traverse the network making every decision by label lookup only.
 
-    Mirrors behavior.trace; hop records carry labels in the atom slot.  A
-    label unknown to a box's forwarding table where a decision is required
-    is dropped as unroutable.
+    Hop records carry labels in the atom slot.  A label unknown to a box's
+    forwarding table where a decision is required is dropped as unroutable.
     """
-    if ingress not in snapshot.external_ports:
-        raise BadIngress(f"{ingress} is not an external port")
-    link_map = snapshot.link_map
-    box_id, in_port = ingress
-    label = pkt.label
-    hops: list[Hop] = []
-    visited: set[tuple[str, int]] = set()
-
-    while True:
-        state = (box_id, label)
-        if state in visited:
-            hops.append(Hop(box_id, in_port, label))
-            return BehaviorReport(tuple(hops), Loop(box_id, label))
-        visited.add(state)
-        table = plane.box_tables[box_id]
-
-        permit = table.acl_permit.get((in_port, "in"))
-        if permit is not None and label not in permit:
-            hops.append(Hop(box_id, in_port, label))
-            return BehaviorReport(tuple(hops), Dropped(box_id, "acl_in"))
-
-        out_port = table.forward.get(label)
-        if out_port is None:
-            hops.append(Hop(box_id, in_port, label))
-            reason = "rule_drop" if label in table.drop else "no_route"
-            return BehaviorReport(tuple(hops), Dropped(box_id, reason))
-
-        permit = table.acl_permit.get((out_port, "out"))
-        if permit is not None and label not in permit:
-            hops.append(Hop(box_id, in_port, label, out_port))
-            return BehaviorReport(tuple(hops), Dropped(box_id, "acl_out"))
-
-        hops.append(Hop(box_id, in_port, label, out_port))
-
-        if label in table.rewrite:
-            label = table.rewrite[label]
-
-        if (box_id, out_port) in snapshot.external_ports:
-            return BehaviorReport(tuple(hops), Delivered(box_id, out_port))
-        box_id, in_port = link_map[(box_id, out_port)]
+    return walk(plane.box_tables, snapshot, pkt.label, ingress)
 
 
 @dataclass(frozen=True)
@@ -197,9 +114,7 @@ def equivalence_check(
     snapshot: NetworkSnapshot,
     headers: Iterable[Header],
 ) -> EquivalenceReport:
-    """Header-plane identify vs label-plane simulation, every ingress."""
-    from .aptree import classify
-
+    """Header-plane trace vs label-plane simulation, every ingress."""
     checked = 0
     divergences = []
     ingresses = sorted(snapshot.external_ports)
@@ -207,7 +122,7 @@ def equivalence_check(
         atom = classify(tree, h)
         for ingress in ingresses:
             checked += 1
-            expected = identify(tree, bmap, snapshot, h, ingress)
+            expected = trace(bmap, snapshot, atom, ingress)
             cloud = simulate_cloud(
                 plane, snapshot, LabeledPacket(plane.encode(atom)), ingress
             )

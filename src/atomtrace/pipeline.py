@@ -32,9 +32,7 @@ class Pipeline:
     bmap: BehaviorMap
 
     def label_plane(self, agent_key: int = 0) -> LabelPlane:
-        return build_label_plane(
-            self.atom_set, self.compiled, self.snapshot, agent_key, self.bmap
-        )
+        return build_label_plane(self.atom_set, agent_key, self.bmap)
 
 
 def close_over_rewrites(

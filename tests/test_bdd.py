@@ -105,14 +105,6 @@ class TestCombine:
         p2 = small_engine.match(FieldConstraint.prefix("h", 0b1000, 2))
         assert brute_set(small_engine, p1 & p2) == set(range(8, 12))
 
-    def test_combine_dispatch(self, small_engine):
-        p1 = small_engine.match(FieldConstraint.prefix("h", 0b1000, 1))
-        p2 = small_engine.match(FieldConstraint.prefix("h", 0b1000, 2))
-        assert small_engine.combine("AND", p1, p2) == (p1 & p2)
-        assert small_engine.combine("OR", p1, p2) == (p1 | p2)
-        assert small_engine.combine("NOT", p1) == ~p1
-        assert small_engine.combine("DIFF", p1, p2) == (p1 - p2)
-
     def test_idempotent_recomputation_same_handle(self, small_engine):
         p1 = small_engine.match(FieldConstraint.prefix("h", 0b1000, 1))
         p2 = small_engine.match(FieldConstraint.prefix("h", 0b1000, 2))
@@ -160,16 +152,6 @@ class TestEvalAndQuery:
     def test_eval_length_mismatch(self, small_engine):
         with pytest.raises(LengthMismatch):
             small_engine.eval(small_engine.true_, Header((0, 1)))
-
-    def test_query_false(self, small_engine):
-        q = small_engine.query(small_engine.false_)
-        assert q.is_false and q.sat_count == 0
-
-    def test_query_sat_counts(self, small_engine):
-        p = small_engine.match(FieldConstraint.prefix("h", 0b1000, 1))
-        assert small_engine.query(p).sat_count == 8
-        q = small_engine.match(FieldConstraint.prefix("h", 0b1000, 2))
-        assert small_engine.query(q).sat_count == 4
 
 
 def SMALL_HEADER(engine, v):

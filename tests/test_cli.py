@@ -205,16 +205,6 @@ class TestBadInputLines:
 
 
 class TestBenchAndExitCodes:
-    def test_bench_smoke(self, capsys, snapshot_file):
-        code, out, _ = run(
-            capsys, "bench", "--snapshot", snapshot_file, "--queries", "2000"
-        )
-        assert code == 0
-        data = json.loads(out)
-        assert data["queries_per_sec"]["1"] > 0
-        assert data["avg_leaf_depth"] > 0
-        assert data["peak_mem_mb"] > 0
-
     def test_check_reports_divergence_with_exit_2(self, capsys, snapshot_file,
                                                   monkeypatch):
         from atomtrace.label_plane import EquivalenceReport, Divergence

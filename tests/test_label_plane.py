@@ -5,20 +5,18 @@ import random
 import pytest
 
 from atomtrace.atoms import atom_of_header, compute_atoms
-from atomtrace.behavior import Delivered, Dropped
+from atomtrace.behavior import BoxTable, Delivered, Dropped
 from atomtrace.bdd import Engine, FieldConstraint, HeaderLayout
 from atomtrace.label_plane import (
-    BoxTable,
-    ImageSplit,
     LabeledPacket,
     decode_report,
     equivalence_check,
-    rewrite_image,
     serialize_tables,
     simulate_cloud,
 )
 from atomtrace.model import RewriteSpec, compile_network, parse_snapshot
 from atomtrace.pipeline import build_pipeline
+from atomtrace.rewrite import ImageSplit, rewrite_image
 from atomtrace.workload import WorkloadSpec, generate
 from tests.conftest import doc_bytes
 
@@ -406,3 +404,39 @@ class TestWitnessLocatedImages:
 
     def test_straddling_images_take_a_second_round(self):
         assert self.assert_matches_reference(nat_doc(src_and_dst_entry)) >= 2
+
+
+# --- the label plane is a relabelling of the behaviour map -------------------
+
+
+def tables_through(plane, new):
+    """Every label table with each label l replaced by new[l]."""
+    return {
+        box: BoxTable(
+            {new[l]: port for l, port in t.forward.items()},
+            frozenset(new[l] for l in t.drop),
+            {pd: frozenset(new[l] for l in ls) for pd, ls in t.acl_permit.items()},
+            {new[a]: new[b] for a, b in t.rewrite.items()},
+        )
+        for box, t in plane.box_tables.items()
+    }
+
+
+class TestRelabelling:
+    """trace and simulate_cloud share one walk, so the label tables must be
+    the atom tables with every atom id replaced by its label."""
+
+    def assert_relabelling(self, pipe):
+        plane = pipe.label_plane(agent_key=11)
+        assert tables_through(plane, plane.atom_of) == pipe.bmap.tables
+        rewriters = [b.id for b in pipe.snapshot.boxes if b.rewrite is not None]
+        assert pipe.bmap.atom_rewrite == {b: pipe.bmap.tables[b].rewrite for b in rewriters}
+
+    def test_fixtures(self, two_box_pipeline, rewrite_pipeline, loop_pipeline):
+        for pipe in (two_box_pipeline, rewrite_pipeline, loop_pipeline):
+            self.assert_relabelling(pipe)
+
+    def test_nat_snapshot(self):
+        pipe = build_pipeline(parse_snapshot(doc_bytes(nat_doc())))
+        assert sum(len(m) for m in pipe.bmap.atom_rewrite.values()) > 0
+        self.assert_relabelling(pipe)
