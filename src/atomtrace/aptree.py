@@ -244,8 +244,9 @@ def remove_predicate(tree: APTree, p: Predicate) -> APTree:
 
 
 def rebuild(tree: APTree) -> APTree:
-    """Merge the cells into the atoms of the live predicates and grow a fresh tree."""
-    return build(
+    """Merge the cells into the atoms of the live predicates and grow a fresh
+    tree; the op cache then holds only the work of later updates."""
+    fresh = build(
         tree.engine,
         atoms_mod.merge(tree.atom_set, tree.sources),
         tree.sources,
@@ -253,6 +254,8 @@ def rebuild(tree: APTree) -> APTree:
         seed=tree.seed,
         version=tree.version + 1,
     )
+    tree.engine.clear_cache()
+    return fresh
 
 
 def _mean_depth(tree: APTree) -> float:

@@ -184,6 +184,12 @@ class Engine:
         self._cache: dict[int | tuple, int] = {}
         self._count: dict[int, int] = {}
 
+    def clear_cache(self) -> None:
+        """Drop the op cache.  It only memoises construction -- serving
+        reads _var/_lo/_hi -- so the writer empties it each time it has
+        built a structure to publish, and memory follows the live state."""
+        self._cache.clear()
+
     # -- constants -----------------------------------------------------
 
     @property

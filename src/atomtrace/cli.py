@@ -227,6 +227,7 @@ def cmd_update(args) -> int:
             latencies.append(ms)
             print(json.dumps({"op": op, "ms": round(ms, 4)}))
     s = sorted(latencies)
+    engine = classifier.tree.engine
     summary = {
         "updates": len(latencies),
         "p50_ms": bench.percentile(s, 0.5),
@@ -234,6 +235,8 @@ def cmd_update(args) -> int:
         "p99_ms": bench.percentile(s, 0.99),
         "rebuilds": classifier.rebuild_count,
         "rebuild_log": classifier.rebuilds,
+        "bdd_nodes": len(engine._var),
+        "op_cache_entries": len(engine._cache),
     }
     summary.update(_tree_stats(classifier.tree))
     print(json.dumps(summary))

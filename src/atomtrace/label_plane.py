@@ -7,7 +7,9 @@ label rewrites whose targets were precomputed to land in single atoms.
 
 from __future__ import annotations
 
-import hashlib
+# hashlib.blake2b is this same class; importing hashlib would also load
+# OpenSSL's _hashlib (~3.6 MB of RSS) for nothing
+from _blake2 import blake2b
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -44,7 +46,7 @@ def _assign_labels(atom_ids: Iterable[int], agent_key: int) -> dict[int, int]:
     for aid in sorted(atom_ids):
         attempt = 0
         while True:
-            digest = hashlib.blake2b(
+            digest = blake2b(
                 f"{agent_key}:{aid}:{attempt}".encode(), digest_size=4
             ).digest()
             label = int.from_bytes(digest, "big")

@@ -261,11 +261,11 @@ def parse_snapshot(document: Union[bytes, str, dict]) -> NetworkSnapshot:
 
     links = []
     used_ports = set()
+    bmap = {bx.id: bx for bx in boxes}
     for lobj in doc.get("links", []):
         if not (isinstance(lobj, list) and len(lobj) == 4):
             raise SnapshotSyntaxError(f"bad link {lobj!r}")
         a, pa, b, pb = lobj
-        bmap = {bx.id: bx for bx in boxes}
         for end_box, end_port in ((a, pa), (b, pb)):
             if end_box not in bmap:
                 raise UnknownBoxRef(f"link references missing box {end_box!r}")

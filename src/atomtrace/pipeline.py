@@ -90,4 +90,5 @@ def build_pipeline(
     sources, atom_set = close_over_rewrites(engine, snapshot, compiled)
     tree = aptree.build(engine, atom_set, sources, strategy=strategy, seed=seed)
     bmap = compile_behavior_map(compiled, atom_set, snapshot)
+    engine.clear_cache()
     return Pipeline(snapshot, engine, compiled, sources, atom_set, tree, bmap)

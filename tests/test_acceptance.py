@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from atomtrace import aptree, bench
+from atomtrace import aptree
 from atomtrace.atoms import atom_of_header
 from atomtrace.behavior import identify, reference_trace, reports_agree
 from atomtrace.label_plane import equivalence_check, serialize_tables
@@ -21,6 +21,7 @@ from atomtrace.pipeline import build_pipeline
 from atomtrace.workload import WorkloadSpec, generate, generate_snapshot, snapshot_bytes
 from atomtrace.model import parse_snapshot
 from tests.conftest import LOOP_DOC, REWRITE_DOC, TWO_BOX_DOC, doc_bytes
+from tests import load
 
 HEADERS_PER_SNAPSHOT = 10_000
 
@@ -260,7 +261,7 @@ def test_criterion_6_live_update_latency(announce):
     assert len(pipe.sources) >= 100, f"want a 100-predicate snapshot, got {len(pipe.sources)}"
     classifier = aptree.PublishedClassifier(pipe.tree, rebuild_after=10_000)
     headers = random_headers(pipe.snapshot.layout, 500, 11)
-    run = bench.run_updates_under_load(
+    run = load.run_updates_under_load(
         classifier, _update_ops(pipe, updates), headers, query_threads=4,
         oracle=lambda tree, h: atom_of_header(tree.atom_set, h),
     )
@@ -289,7 +290,7 @@ def hundred_pred_pipeline():
 def test_criterion_7_throughput(hundred_pred_pipeline, announce):
     pipe = hundred_pred_pipeline
     headers = random_headers(pipe.snapshot.layout, 10_000, 2) * 10
-    qps = bench.classify_throughput(pipe.tree, headers)
+    qps = load.classify_throughput(pipe.tree, headers)
     ok = qps >= 100_000
     announce(
         f"ACCEPTANCE 7 (throughput, single thread): {'PASS' if ok else 'FAIL'} — "
@@ -310,8 +311,8 @@ def test_criterion_7_scaling(hundred_pred_pipeline, announce):
         pytest.skip(f"host has {cpus} CPU(s); 1->4 worker scaling needs >= 4 cores")
     pipe = hundred_pred_pipeline
     headers = random_headers(pipe.snapshot.layout, 10_000, 2) * 10
-    one = bench.classify_throughput(pipe.tree, headers)
-    four = bench.parallel_throughput(pipe.tree, headers, 4)
+    one = load.classify_throughput(pipe.tree, headers)
+    four = load.parallel_throughput(pipe.tree, headers, 4)
     factor = four / one
     announce(
         f"ACCEPTANCE 7 (throughput, 1->4 scaling): "

@@ -147,6 +147,20 @@ class TestGenAndUpdate:
         assert {r["trigger"] for r in log} <= {"count", "depth"}
         assert all(r["ms"] >= 0 and r["update"] > 0 for r in log)
 
+    def test_update_reports_engine_memory(self, capsys, tmp_path):
+        snap = tmp_path / "snap.json"
+        upd = tmp_path / "upd.jsonl"
+        run(capsys, "gen", "--seed", "5", "--boxes", "3", "--out", str(snap),
+            "--updates-out", str(upd), "--update-count", "20")
+        code, out, _ = run(capsys, "update", "--snapshot", str(snap),
+                           "--updates", str(upd), "--rebuild-threshold", "1")
+        assert code == 0
+        summary = json.loads(out.strip().splitlines()[-1])
+        assert summary["bdd_nodes"] > 2
+        # every update rebuilds, and each rebuild empties the op cache
+        assert summary["rebuilds"] == summary["updates"] == 20
+        assert summary["op_cache_entries"] == 0
+
     def test_update_by_rule_reference(self, capsys, snapshot_file, tmp_path):
         upd = tmp_path / "upd.jsonl"
         upd.write_text(

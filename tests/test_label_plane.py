@@ -1,6 +1,11 @@
 import dataclasses
+import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -440,3 +445,42 @@ class TestRelabelling:
         pipe = build_pipeline(parse_snapshot(doc_bytes(nat_doc())))
         assert sum(len(m) for m in pipe.bmap.atom_rewrite.values()) > 0
         self.assert_relabelling(pipe)
+
+
+# --- labels are a keyed blake2b PRF, computed without OpenSSL ----------------
+
+
+def reference_labels(atom_ids, key):
+    labels, used = {}, set()
+    for aid in sorted(atom_ids):
+        attempt = 0
+        while True:
+            digest = hashlib.blake2b(
+                f"{key}:{aid}:{attempt}".encode(), digest_size=4
+            ).digest()
+            label = int.from_bytes(digest, "big")
+            if label not in used:
+                break
+            attempt += 1
+        used.add(label)
+        labels[aid] = label
+    return labels
+
+
+class TestLabelPrf:
+    @pytest.mark.parametrize("key", [0, 7])
+    def test_labels_equal_hashlib_blake2b(self, key):
+        pipe = build_pipeline(parse_snapshot(doc_bytes(nat_doc())))
+        plane = pipe.label_plane(agent_key=key)
+        assert plane.label_of == reference_labels(pipe.atom_set.order, key)
+
+    def test_import_leaves_openssl_unloaded(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, atomtrace, atomtrace.cli; print('_hashlib' in sys.modules)"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -342,6 +342,36 @@ class TestExactWriterPath:
         assert atoms.merge(aset, []) == compute_atoms(engine, [])
 
 
+class TestOpCacheLifetime:
+    def test_cache_ends_with_each_build_and_rebuild(self):
+        # perfbench's live-update snapshot under a balanced update stream
+        doc, updates, _ = generate(
+            WorkloadSpec(seed=2, box_count=30, rules_per_box=(20, 40),
+                         prefix_len=(1, 12), update_count=2000, add_ratio=0.5,
+                         header_samples=0)
+        )
+        pipe = build_pipeline(parse_snapshot(snapshot_bytes(doc)))
+        engine = pipe.engine
+        assert len(engine._cache) == 0
+        layout = pipe.snapshot.layout
+        ops = [(u["op"], engine.match_all(_parse_match(u["pred"], layout, "update")))
+               for u in updates]
+        classifier = PublishedClassifier(pipe.tree, rebuild_after=256)
+        peak = 0
+        for op, pred in ops:
+            (classifier.add if op == "add" else classifier.remove)(pred)
+            if classifier.rebuilds and classifier.rebuilds[-1]["update"] == classifier.updates:
+                assert len(engine._cache) == 0
+            peak = max(peak, len(engine._cache))
+        assert classifier.rebuild_count >= 4
+        assert peak < 50_000
+        tree = classifier.tree
+        rng = random.Random(3)
+        for _ in range(300):
+            h = layout.header({name: rng.getrandbits(w) for name, w in layout.fields})
+            assert classify(tree, h) == atom_of_header(tree.atom_set, h)
+
+
 class TestPublishedClassifier:
     def test_publication_and_rebuild_trigger(self, three_atoms):
         engine, preds, aset = three_atoms
