@@ -49,7 +49,6 @@ class APTree:
     root: Node
     atom_set: AtomSet
     sources: tuple[Predicate, ...]  # live predicates, in refinement order
-    removed: frozenset[int]  # handles removed since the last build
     depth_sum: int  # sum of leaf depths (one leaf per atom), for the drift check
     version: int = 0
     structural_updates: int = 0
@@ -116,7 +115,6 @@ def build(
         root=root,
         atom_set=atom_set,
         sources=tuple(preds),
-        removed=frozenset(),
         depth_sum=depth_sum,
         version=version,
         strategy=strategy,
@@ -221,7 +219,6 @@ def add_predicate(tree: APTree, p: Predicate) -> APTree:
         root=root,
         atom_set=new_atoms,
         sources=sources,
-        removed=tree.removed - {p.node},
         depth_sum=depth_sum,
         structural_updates=tree.structural_updates + 1,
     )
@@ -238,7 +235,6 @@ def remove_predicate(tree: APTree, p: Predicate) -> APTree:
         tree,
         atom_set=new_atoms,
         sources=tuple(s for s in tree.sources if s.node != p.node),
-        removed=tree.removed | {p.node},
         structural_updates=tree.structural_updates + 1,
     )
 

@@ -35,10 +35,12 @@ class AtomSet:
     def pred_of(self, atom_id: int) -> Predicate:
         return self.atoms[atom_id]
 
-    def ids(self) -> tuple[int, ...]:
-        return self.order
-
     def members_of(self, p: Predicate) -> frozenset[int]:
+        """Ids of the atoms whose disjunction is p: a source, or a constant."""
+        if p.node == FALSE:
+            return frozenset()
+        if p.node == TRUE:
+            return frozenset(self.order)
         try:
             return self.membership[p.node]
         except KeyError:

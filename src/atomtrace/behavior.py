@@ -14,14 +14,9 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .aptree import classify
-from .atoms import AtomSet, UnknownPredicate, atom_of_header
+from .atoms import AtomSet, atom_of_header
 from .bdd import FieldConstraint, Header
 from .model import Box, NetworkSnapshot, CompiledNetwork
-from .rewrite import rewrite_image
-
-
-class MissingMembership(KeyError):
-    """A compiled predicate is absent from the atom set; pipeline misuse."""
 
 
 class BadIngress(ValueError):
@@ -113,47 +108,32 @@ def compile_behavior_map(
     compiled: CompiledNetwork,
     atom_set: AtomSet,
     snapshot: NetworkSnapshot,
+    rewrites: dict[str, dict[int, int]],
 ) -> BehaviorMap:
     """Resolve every compiled predicate to the set of atoms it contains.
 
-    Requires the atom set to have been computed over all compiled predicates
-    plus every rewrite-image predicate, so rewriter targets land in single
-    atoms (see rewrite.rewrite_image).
+    Requires the atom set to have been computed over all compiled predicates,
+    and rewrites to map every rewriter box to its {atom: image atom} table:
+    pipeline.close_over_rewrites computes both.  Raises UnknownPredicate
+    for a compiled predicate the atom set does not know.
     """
-    engine = compiled.engine
-
-    def members(pred) -> frozenset[int]:
-        if engine.is_false(pred):
-            return frozenset()
-        if engine.is_true(pred):
-            return frozenset(atom_set.order)
-        try:
-            return atom_set.members_of(pred)
-        except UnknownPredicate as e:
-            raise MissingMembership(str(e)) from e
-
+    members = atom_set.members_of
     tables: dict[str, BoxTable] = {}
-    atom_rewrite: dict[str, dict[int, int]] = {}
     for box in snapshot.boxes:
         forward: dict[int, str] = {}
         for port in box.ports:
             for aid in members(compiled.port_preds[(box.id, port)]):
                 assert aid not in forward, f"box {box.id}: atom {aid} reaches two ports"
                 forward[aid] = port
-        drop = members(compiled.drop_preds.get(box.id, engine.false_))
+        drop = members(compiled.drop_preds[box.id])
         acl_permit = {
             (acl.port, acl.direction): members(
                 compiled.acl_preds[(box.id, acl.port, acl.direction)]
             )
             for acl in box.acls
         }
-        rewrite: dict[int, int] = {}
-        if box.rewrite is not None:
-            for aid in members(compiled.rewrite_match[box.id]):
-                rewrite[aid] = rewrite_image(engine, atom_set, box.rewrite, aid)
-            atom_rewrite[box.id] = rewrite
-        tables[box.id] = BoxTable(forward, drop, acl_permit, rewrite)
-    return BehaviorMap(tables, atom_rewrite)
+        tables[box.id] = BoxTable(forward, drop, acl_permit, rewrites.get(box.id, {}))
+    return BehaviorMap(tables, rewrites)
 
 
 def walk(
@@ -290,24 +270,24 @@ def reference_trace(
         state = (box_id, h.bits)
         if state in visited:
             hops.append((box_id, in_port, h, None))
-            return _raw_report(hops, Loop(box_id, -1))
+            return RawReport(tuple(hops), Loop(box_id, -1))
         visited.add(state)
         box = box_map[box_id]
 
         acl = _find_acl(box, in_port, "in")
         if acl is not None and not _acl_permits(layout, acl, h):
             hops.append((box_id, in_port, h, None))
-            return _raw_report(hops, Dropped(box_id, "acl_in"))
+            return RawReport(tuple(hops), Dropped(box_id, "acl_in"))
 
         outcome, out_port = _lookup(layout, box, h)
         if outcome != "forward":
             hops.append((box_id, in_port, h, None))
-            return _raw_report(hops, Dropped(box_id, outcome))
+            return RawReport(tuple(hops), Dropped(box_id, outcome))
 
         acl = _find_acl(box, out_port, "out")
         if acl is not None and not _acl_permits(layout, acl, h):
             hops.append((box_id, in_port, h, out_port))
-            return _raw_report(hops, Dropped(box_id, "acl_out"))
+            return RawReport(tuple(hops), Dropped(box_id, "acl_out"))
 
         hops.append((box_id, in_port, h, out_port))
 
@@ -321,7 +301,7 @@ def reference_trace(
             h = Header(tuple(bits))
 
         if (box_id, out_port) in snapshot.external_ports:
-            return _raw_report(hops, Delivered(box_id, out_port))
+            return RawReport(tuple(hops), Delivered(box_id, out_port))
         box_id, in_port = link_map[(box_id, out_port)]
 
 
@@ -331,10 +311,6 @@ class RawReport:
 
     hops: tuple[tuple[str, str, Header, Optional[str]], ...]
     disposition: Disposition
-
-
-def _raw_report(hops, disposition) -> RawReport:
-    return RawReport(tuple(hops), disposition)
 
 
 def _find_acl(box: Box, port: str, direction: str):

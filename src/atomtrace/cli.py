@@ -20,13 +20,12 @@ import time
 
 from . import aptree, bench
 from .atoms import UnknownPredicate
-from .bdd import Header, Predicate
+from .bdd import Header, HeaderLayout, Predicate
 from .behavior import BadIngress, identify
 from .label_plane import equivalence_check, serialize_tables
 from .model import SnapshotError, parse_snapshot, _parse_match
 from .pipeline import Pipeline, build_pipeline
 from .workload import WorkloadSpec, generate, snapshot_bytes, TUPLE5
-from .bdd import HeaderLayout
 
 log = logging.getLogger("atomtrace")
 
@@ -56,9 +55,7 @@ def _load_pipeline(args) -> Pipeline:
         snapshot = parse_snapshot(data)
     except SnapshotError as e:
         raise UsageError(f"{args.snapshot}: {e}")
-    strategy = getattr(args, "strategy", "greedy")
-    seed = getattr(args, "seed", 0)
-    return build_pipeline(snapshot, strategy=strategy, seed=seed)
+    return build_pipeline(snapshot, strategy=args.strategy, seed=args.seed)
 
 
 def _parse_header(pipe: Pipeline, obj) -> Header:

@@ -39,43 +39,46 @@ def close_over_rewrites(
     engine: Engine,
     snapshot: NetworkSnapshot,
     compiled: CompiledNetwork,
-) -> tuple[tuple[Predicate, ...], AtomSet]:
-    """Grow the predicate set until all rewrite images are atom-contained."""
+) -> tuple[tuple[Predicate, ...], AtomSet, dict[str, dict[int, int]]]:
+    """Grow the predicate set until all rewrite images are atom-contained.
+
+    Also returns, for every rewriter box, the {atom: image atom} table of
+    the round that converged.  Raises RuntimeError when an image straddles
+    atoms and no new preimage can split its source atom.
+    """
     sources = list(compiled.all_preds)
     known = {p.node for p in sources}
     rewriters = [b for b in snapshot.boxes if b.rewrite is not None]
     for _ in range(_MAX_IMAGE_ROUNDS):
         atom_set = compute_atoms(engine, sources)
-        added = False
+        rewrites: dict[str, dict[int, int]] = {}
+        straddled = added = False
         for box in rewriters:
-            match_pred = compiled.rewrite_match[box.id]
-            if engine.is_false(match_pred):
-                continue
-            member_ids = (
-                atom_set.order
-                if engine.is_true(match_pred)
-                else atom_set.members_of(match_pred)
-            )
-            for aid in member_ids:
+            table = rewrites[box.id] = {}
+            for aid in atom_set.members_of(compiled.rewrite_match[box.id]):
                 image, target = image_atom(
                     engine, atom_set, box.rewrite, atom_set.pred_of(aid)
                 )
-                if target is not None or engine.is_false(image):
+                if target is not None:
+                    table[aid] = target
                     continue
                 # split the source atom by the preimage of every target the
-                # image touches, so each refined cell maps into one atom
+                # image touches, so each refined cell maps into one atom; the
+                # targets meet the image in disjoint parts of the pinned
+                # subspace, so no preimage is constant
+                straddled = True
                 for tid in touched(engine, atom_set, image):
                     pre = rewrite_preimage_pred(
                         engine, atom_set.pred_of(tid), box.rewrite
                     )
-                    if engine.is_false(pre) or engine.is_true(pre):
-                        continue
                     if pre.node not in known:
                         known.add(pre.node)
                         sources.append(pre)
                         added = True
+        if not straddled:
+            return tuple(sources), atom_set, rewrites
         if not added:
-            return tuple(sources), atom_set
+            raise RuntimeError("a rewrite image straddles atoms its preimages do not split")
     raise RuntimeError("rewrite-image closure did not converge")
 
 
@@ -87,8 +90,8 @@ def build_pipeline(
 ) -> Pipeline:
     engine = engine or Engine(snapshot.layout)
     compiled = compile_network(snapshot, engine)
-    sources, atom_set = close_over_rewrites(engine, snapshot, compiled)
+    sources, atom_set, rewrites = close_over_rewrites(engine, snapshot, compiled)
     tree = aptree.build(engine, atom_set, sources, strategy=strategy, seed=seed)
-    bmap = compile_behavior_map(compiled, atom_set, snapshot)
+    bmap = compile_behavior_map(compiled, atom_set, snapshot, rewrites)
     engine.clear_cache()
     return Pipeline(snapshot, engine, compiled, sources, atom_set, tree, bmap)

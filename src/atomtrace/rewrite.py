@@ -17,11 +17,6 @@ from .bdd import Engine, FieldConstraint, Predicate
 from .model import RewriteSpec
 
 
-class ImageSplit(RuntimeError):
-    """A rewrite image straddles several atoms; the image predicate must be
-    added to the predicate set and atoms recomputed before building tables."""
-
-
 def _pin(engine: Engine, p: Predicate, spec: RewriteSpec) -> Predicate:
     for fname, value in spec.sets:
         p = engine.conj(p, engine.match(FieldConstraint.exact(fname, value)))
@@ -43,25 +38,6 @@ def image_atom(
         return image, None
     aid = atom_of_header(atom_set, engine.witness(image))
     return image, aid if engine.implies(image, atom_set.pred_of(aid)) else None
-
-
-def rewrite_image(
-    engine: Engine, atom_set: AtomSet, spec: RewriteSpec, atom_id: int
-) -> int:
-    """Atom containing the headers produced by applying spec to this atom.
-
-    Raises ValueError when the atom misses the rewrite match, and
-    ImageSplit when the image is not inside a single atom.
-    """
-    image, aid = image_atom(engine, atom_set, spec, atom_set.pred_of(atom_id))
-    if aid is not None:
-        return aid
-    if engine.is_false(image):
-        raise ValueError(f"atom {atom_id} does not intersect the rewrite match")
-    raise ImageSplit(
-        f"image of atom {atom_id} straddles atoms {touched(engine, atom_set, image)};"
-        " add it to the sources"
-    )
 
 
 def touched(engine: Engine, atom_set: AtomSet, p: Predicate) -> list[int]:

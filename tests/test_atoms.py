@@ -62,6 +62,11 @@ class TestComputeAtoms:
         assert aset.members_of(p1) == {aset.order[0], aset.order[1]}
         assert aset.members_of(p2) == {aset.order[0]}
 
+    def test_constant_members(self, small_engine):
+        aset = compute_atoms(small_engine, [prefix(small_engine, 8, 1)])
+        assert aset.members_of(small_engine.false_) == frozenset()
+        assert aset.members_of(small_engine.true_) == frozenset(aset.order)
+
     def test_matches_brute_force_partition(self, small_engine):
         preds = [prefix(small_engine, 8, 1), prefix(small_engine, 8, 2),
                  prefix(small_engine, 4, 2)]

@@ -1,12 +1,11 @@
 import pytest
 
-from atomtrace.atoms import atom_of_header
+from atomtrace.atoms import UnknownPredicate, atom_of_header
 from atomtrace.behavior import (
     BadIngress,
     Delivered,
     Dropped,
     Loop,
-    MissingMembership,
     compile_behavior_map,
     identify,
     reference_trace,
@@ -55,7 +54,7 @@ class TestBehaviorMap:
         from atomtrace.atoms import compute_atoms
 
         aset = compute_atoms(engine, compiled.all_preds)
-        bmap = compile_behavior_map(compiled, aset, snap)
+        bmap = compile_behavior_map(compiled, aset, snap, {})
         assert port_atoms(bmap, "b", "p") == frozenset()
 
     def test_missing_membership(self, two_box_pipeline, two_box):
@@ -63,8 +62,8 @@ class TestBehaviorMap:
 
         pipe = two_box_pipeline
         stale = compute_atoms(pipe.engine, [])  # not built over all_preds
-        with pytest.raises(MissingMembership):
-            compile_behavior_map(pipe.compiled, stale, two_box)
+        with pytest.raises(UnknownPredicate):
+            compile_behavior_map(pipe.compiled, stale, two_box, {})
 
 
 class TestTrace:

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import json
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from atomtrace.atoms import atom_of_header, compute_atoms
-from atomtrace.behavior import BoxTable, Delivered, Dropped
+from atomtrace import pipeline
+from atomtrace.behavior import BoxTable, Delivered, Dropped, trace
 from atomtrace.bdd import Engine, FieldConstraint, HeaderLayout
 from atomtrace.label_plane import (
     LabeledPacket,
@@ -21,9 +23,9 @@ from atomtrace.label_plane import (
 )
 from atomtrace.model import RewriteSpec, compile_network, parse_snapshot
 from atomtrace.pipeline import build_pipeline
-from atomtrace.rewrite import ImageSplit, rewrite_image
+from atomtrace.rewrite import image_atom
 from atomtrace.workload import WorkloadSpec, generate
-from tests.conftest import doc_bytes
+from tests.conftest import REWRITE_DOC, doc_bytes
 
 
 def atoms_by_rep(pipe, *values):
@@ -88,7 +90,7 @@ class TestRewriteImage:
             sets=(("hi", 0),),
         )
         src = next(i for i in aset.order if aset.pred_of(i) == p_match)
-        dst = rewrite_image(engine, aset, spec, src)
+        _, dst = image_atom(engine, aset, spec, aset.pred_of(src))
         assert aset.pred_of(dst) == p_other
 
     def test_non_intersecting_atom_rejected(self):
@@ -100,8 +102,8 @@ class TestRewriteImage:
         outside = next(
             i for i in aset.order if aset.pred_of(i) == ~p_match
         )
-        with pytest.raises(ValueError):
-            rewrite_image(engine, aset, spec, outside)
+        image, dst = image_atom(engine, aset, spec, aset.pred_of(outside))
+        assert engine.is_false(image) and dst is None
 
     def test_identity_rewrite_is_fixpoint(self):
         layout = HeaderLayout((("hi", 1), ("lo", 3)))
@@ -110,7 +112,7 @@ class TestRewriteImage:
         aset = compute_atoms(engine, [p_match])
         spec = RewriteSpec(match=(FieldConstraint.exact("hi", 1),), sets=(("hi", 1),))
         src = next(i for i in aset.order if aset.pred_of(i) == p_match)
-        assert rewrite_image(engine, aset, spec, src) == src
+        assert image_atom(engine, aset, spec, aset.pred_of(src))[1] == src
 
     def test_image_split_detected(self):
         layout = HeaderLayout((("hi", 1), ("lo", 3)))
@@ -124,8 +126,8 @@ class TestRewriteImage:
         aset = compute_atoms(engine, [p_match, p_half])
         spec = RewriteSpec(match=(FieldConstraint.exact("hi", 1),), sets=(("hi", 0),))
         src = next(i for i in aset.order if aset.pred_of(i) == p_match)
-        with pytest.raises(ImageSplit):
-            rewrite_image(engine, aset, spec, src)
+        image, dst = image_atom(engine, aset, spec, aset.pred_of(src))
+        assert not engine.is_false(image) and dst is None
 
     def test_pipeline_closes_over_split_images(self):
         # same situation via the pipeline: the image predicate is added to
@@ -409,6 +411,41 @@ class TestWitnessLocatedImages:
 
     def test_straddling_images_take_a_second_round(self):
         assert self.assert_matches_reference(nat_doc(src_and_dst_entry)) >= 2
+
+
+class TestClosureTables:
+    """close_over_rewrites hands every rewriter's table to the behaviour map."""
+
+    @pytest.mark.parametrize("acl_entry", [None, src_and_dst_entry])
+    def test_table_keys_are_match_members(self, acl_entry):
+        snap = parse_snapshot(doc_bytes(nat_doc(acl_entry)))
+        engine = Engine(snap.layout)
+        compiled = compile_network(snap, engine)
+        _, aset, rewrites = pipeline.close_over_rewrites(engine, snap, compiled)
+        rewriters = [b.id for b in snap.boxes if b.rewrite is not None]
+        assert list(rewrites) == rewriters
+        for box in rewriters:
+            assert set(rewrites[box]) == aset.members_of(compiled.rewrite_match[box])
+
+    def test_contradictory_match_gets_an_empty_table(self):
+        doc = copy.deepcopy(REWRITE_DOC)
+        doc["boxes"][0]["rewrite"]["match"] = [
+            {"field": "hi", "kind": "exact", "value": 0},
+            {"field": "hi", "kind": "exact", "value": 1},
+        ]
+        pipe = build_pipeline(parse_snapshot(doc_bytes(doc)))
+        assert pipe.bmap.atom_rewrite == {"r1": {}}
+        (a0,) = atoms_by_rep(pipe, 0b0101)
+        report = trace(pipe.bmap, pipe.snapshot, a0, ("r1", "ext"))
+        assert report.disposition == Delivered("s2", "pext")
+        assert [h.atom for h in report.hops] == [a0, a0]
+
+    def test_unsplittable_straddle_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            pipeline, "rewrite_preimage_pred", lambda engine, target, spec: engine.false_
+        )
+        with pytest.raises(RuntimeError):
+            build_pipeline(parse_snapshot(doc_bytes(nat_doc(src_and_dst_entry))))
 
 
 # --- the label plane is a relabelling of the behaviour map -------------------
