@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from . import atoms as atoms_mod
-from .atoms import AtomSet, UnknownPredicate
+from .atoms import AtomSet
 from .bdd import Engine, Header, LengthMismatch, Predicate
 
 
@@ -72,7 +72,7 @@ def build(
     maximizing the smaller side of the split; ties go to the earlier
     predicate.
     """
-    candidates = [(i, atom_set.members_of(p)) for i, p in enumerate(preds)]
+    candidates = [(i, atom_set.member_bits(p)) for i, p in enumerate(preds)]
     if strategy == RANDOM:
         rng = random.Random(seed)
         rng.shuffle(candidates)
@@ -81,35 +81,37 @@ def build(
 
     depth_sum = 0
 
-    def grow(reach: frozenset[int], cands: list, depth: int) -> Node:
+    def grow(reach: int, cands: list, depth: int) -> Node:
         nonlocal depth_sum
-        if len(reach) == 1:
+        if not reach & (reach - 1):
             depth_sum += depth
-            return Leaf(next(iter(reach)))
+            return Leaf(reach.bit_length() - 1)
+        size = reach.bit_count()
         best = None
         remaining = []
         for idx, members in cands:
             t = reach & members
-            if not t or len(t) == len(reach):
+            if not t or t == reach:
                 continue  # cannot split here or below; prune
             remaining.append((idx, members))
             if strategy == GREEDY:
-                score = min(len(t), len(reach) - len(t))
+                k = t.bit_count()
+                score = min(k, size - k)
                 if best is None or score > best[0]:
                     best = (score, idx, members, t)
             elif best is None:
                 best = (0, idx, members, t)
         if best is None:
-            raise Inconsistent(f"{len(reach)} atoms but no splitting predicate")
+            raise Inconsistent(f"{size} atoms but no splitting predicate")
         _, idx, members, t = best
         rest = [c for c in remaining if c[0] != idx]
         return Internal(
             preds[idx],
             grow(t, rest, depth + 1),
-            grow(reach - members, rest, depth + 1),
+            grow(reach & ~members, rest, depth + 1),
         )
 
-    root = grow(frozenset(atom_set.order), candidates, 0)
+    root = grow(atom_set.member_bits(engine.true_), candidates, 0)
     return APTree(
         engine=engine,
         root=root,
@@ -167,31 +169,21 @@ def add_predicate(tree: APTree, p: Predicate) -> APTree:
     two fresh leaves; all other leaves are untouched.  Adding a predicate
     that is already refined by the partition changes no structure.
 
-    Only the paths p reaches are walked, carrying r = p ∧ path: a side is
-    entered only if r meets it, and at a leaf r is p ∧ atom.  So the BDD
-    work is two conjunctions per node on those paths, not one per atom,
-    and only those paths are copied.
+    atoms.refine finds the split atoms through the atom index.  The leaf of
+    a split atom is where a witness of its inside part lands, so only those
+    paths are walked and copied, and the only BDD work is refine's.
     """
     engine = tree.engine
     if p.node in (0, 1):
         raise ValueError("cannot add a constant predicate")
-    meets: dict[int, Predicate] = {}  # atom -> p ∧ atom, for atoms p meets
-    reached: set[int] = set()  # id() of the internal nodes on those paths
-
-    def walk(node: Node, r: Predicate) -> None:
-        if isinstance(node, Leaf):
-            meets[node.atom] = r
-            return
-        reached.add(id(node))
-        t = engine.conj(r, node.pred)
-        if not engine.is_false(t):
-            walk(node.true_child, t)
-        f = engine.diff(r, node.pred)
-        if not engine.is_false(f):
-            walk(node.false_child, f)
-
-    walk(tree.root, p)
-    new_atoms, splits = atoms_mod.refine(tree.atom_set, p, meets)
+    new_atoms, splits = atoms_mod.refine(tree.atom_set, p)
+    reached: set[int] = set()  # id() of the internal nodes on the split leaves' paths
+    for ti, _ in splits.values():
+        h = engine.witness(new_atoms.pred_of(ti))
+        node = tree.root
+        while isinstance(node, Internal):
+            reached.add(id(node))
+            node = node.true_child if engine.eval(node.pred, h) else node.false_child
     depth_sum = tree.depth_sum
 
     def rewrite(node: Node, depth: int) -> Node:
@@ -212,7 +204,7 @@ def add_predicate(tree: APTree, p: Predicate) -> APTree:
 
     root = rewrite(tree.root, 0) if splits else tree.root
     sources = tree.sources
-    if all(s.node != p.node for s in sources):
+    if p.node not in tree.atom_set.membership:
         sources = sources + (p,)
     return replace(
         tree,
@@ -226,10 +218,8 @@ def add_predicate(tree: APTree, p: Predicate) -> APTree:
 
 def remove_predicate(tree: APTree, p: Predicate) -> APTree:
     """Drop p from the live sources; the structure keeps classifying correctly
-    because every cell is still contained in one atom of the remaining set."""
-    live = tuple(s for s in tree.sources if s.node == p.node)
-    if not live:
-        raise UnknownPredicate(f"predicate handle {p.node} is not live")
+    because every cell is still contained in one atom of the remaining set.
+    Raises UnknownPredicate when p is not live."""
     new_atoms = atoms_mod.drop_source(tree.atom_set, p)
     return replace(
         tree,

@@ -3,9 +3,10 @@ every network predicate is a disjoint union of its blocks."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
+from .atomindex import IndexStore
 from .bdd import FALSE, TRUE, Engine, EngineMismatch, Header, Predicate
 
 
@@ -18,16 +19,21 @@ class AtomSet:
     """Pairwise-disjoint, jointly-exhaustive atoms plus source membership.
 
     atoms maps atom id -> predicate; order lists ids in their canonical
-    order; membership maps a source predicate's handle to the ids of the
-    atoms whose disjunction equals it.  Immutable: refinements return a
-    new AtomSet sharing unchanged entries.
+    order; membership maps a source predicate's handle to the bitset (bit i
+    for atom id i) of the atoms whose disjunction equals it.  index is the
+    root, in store, of the atom index: the decision diagram from a header
+    to its atom id (atomindex).  Equality compares the partition and
+    membership, not where the index lives.  Immutable: refinements return
+    a new AtomSet sharing unchanged entries and the store.
     """
 
     engine: Engine
     atoms: dict[int, Predicate]
     order: tuple[int, ...]
-    membership: dict[int, frozenset[int]]
+    membership: dict[int, int]
     next_id: int
+    store: IndexStore = field(compare=False, repr=False)
+    index: int = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.order)
@@ -35,16 +41,37 @@ class AtomSet:
     def pred_of(self, atom_id: int) -> Predicate:
         return self.atoms[atom_id]
 
-    def members_of(self, p: Predicate) -> frozenset[int]:
-        """Ids of the atoms whose disjunction is p: a source, or a constant."""
+    def member_bits(self, p: Predicate) -> int:
+        """Bitset of the atoms whose disjunction is p: a source, or a constant."""
         if p.node == FALSE:
-            return frozenset()
+            return 0
         if p.node == TRUE:
-            return frozenset(self.order)
+            return self.store.bits[self.index]
         try:
             return self.membership[p.node]
         except KeyError:
             raise UnknownPredicate(f"predicate handle {p.node} has no membership")
+
+    def members_of(self, p: Predicate) -> frozenset[int]:
+        """Ids of the atoms whose disjunction is p: a source, or a constant."""
+        return frozenset(ids_of(self.member_bits(p)))
+
+    def atom_of(self, h: Header) -> int:
+        """The atom containing h, by one walk of the index."""
+        return self.store.lookup(self.index, h.bits)
+
+    def meets(self, p: Predicate) -> tuple[int, int]:
+        """Bitsets of the atoms that meet p and of those that meet its
+        complement; an atom in both straddles p."""
+        return self.store.meets(self.index, self.engine, p.node)
+
+
+def ids_of(bits: int) -> Iterator[int]:
+    """The atom ids in a bitset, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 def compute_atoms(engine: Engine, preds: Sequence[Predicate]) -> AtomSet:
@@ -106,7 +133,8 @@ def _pred_bit(k: int, n: int) -> int:
 def _atom_set(
     engine: Engine, preds: Sequence[Predicate], cells: dict[int, Predicate]
 ) -> AtomSet:
-    """The AtomSet of cells keyed by membership signature over preds.
+    """The AtomSet of cells keyed by membership signature over preds, with
+    its index in a fresh store.
 
     Refinement by preds in order lists each atom's inside before its
     outside, first pred deciding first; so atoms are ordered by the preds
@@ -115,18 +143,21 @@ def _atom_set(
     """
     n = len(preds)
     sigs = sorted(cells, reverse=True)
-    members: list[list[int]] = [[] for _ in range(n)]
+    members = [0] * n
     for j, s in enumerate(sigs):
         while s:
             low = s & -s
-            members[n - low.bit_length()].append(j)
+            members[n - low.bit_length()] |= 1 << j
             s ^= low
+    store = IndexStore(engine.width)
     return AtomSet(
         engine=engine,
         atoms={j: cells[s] for j, s in enumerate(sigs)},
         order=tuple(range(len(sigs))),
-        membership={p.node: frozenset(members[k]) for k, p in enumerate(preds)},
+        membership={p.node: members[k] for k, p in enumerate(preds)},
         next_id=len(sigs),
+        store=store,
+        index=store.build(engine, ((j, cells[s].node) for j, s in enumerate(sigs))),
     )
 
 
@@ -139,65 +170,51 @@ def atom_of_header(atom_set: AtomSet, h: Header) -> int:
     raise AssertionError("atoms are not exhaustive")  # unreachable by invariant
 
 
-def refine(
-    atom_set: AtomSet,
-    p: Predicate,
-    meets: Optional[Mapping[int, Predicate]] = None,
-) -> tuple[AtomSet, dict[int, tuple[int, int]]]:
+def refine(atom_set: AtomSet, p: Predicate) -> tuple[AtomSet, dict[int, tuple[int, int]]]:
     """Split atoms straddling p; returns the new set and old->(inside, outside) ids.
 
-    Atoms fully inside or outside p keep their ids, and split atoms get
-    fresh ids in atom order.  Membership of every existing source replaces
-    a split atom by both children (each child is contained in the parent,
-    so implication is inherited).
-
-    meets, when given, maps every atom p intersects to the nonempty p ∧ atom
-    and omits the atoms disjoint from p: a caller that already knows which
-    atoms p touches (the AP tree walk) saves one conjunction per atom.
-    Without it, p is conjoined with every atom.
+    One product walk of p with the index tells the atoms inside p, those
+    outside it and those that straddle it; only the straddled ones are
+    conjoined with p.  Atoms fully inside or outside p keep their ids, and
+    split atoms get fresh ids in atom order.  Membership of every existing
+    source replaces a split atom by both children (each child is contained
+    in the parent, so implication is inherited), and the index replaces its
+    terminal by ite(p, inside, outside).
     """
     engine = atom_set.engine
     if p.engine is not engine:
         raise EngineMismatch("predicate from a different engine")
-    if meets is None:
-        meets = {}
-        for i in atom_set.order:
-            t = engine.conj(atom_set.atoms[i], p)
-            if not engine.is_false(t):
-                meets[i] = t
+    inside, outside = atom_set.meets(p)
+    straddled = inside & outside
+    covered = inside & ~outside
     splits: dict[int, tuple[int, int]] = {}
-    covered: set[int] = set()
-    atoms = atom_set.atoms
-    next_id = atom_set.next_id
-    for i in atom_set.order:
-        t = meets.get(i)
-        if t is None:
-            continue
-        a = atoms[i]
-        if t == a:
-            covered.add(i)
-            continue
-        if not splits:
-            atoms = dict(atoms)
-        ti, fi = next_id, next_id + 1
-        next_id += 2
-        del atoms[i]
-        atoms[ti] = t
-        atoms[fi] = engine.diff(a, p)
-        splits[i] = (ti, fi)
-        covered.add(ti)
-    order = atom_set.order
+    atoms, order, index = atom_set.atoms, atom_set.order, atom_set.index
     membership = dict(atom_set.membership)
-    if splits:
-        order = tuple(j for i in order for j in splits.get(i, (i,)))
-        for handle, ids in membership.items():
-            if not ids.isdisjoint(splits):
-                hit = ids.intersection(splits)
-                membership[handle] = (ids - hit).union(
-                    *(splits[i] for i in hit)
-                )
-    membership[p.node] = frozenset(covered)
-    return AtomSet(engine, atoms, order, membership, next_id), splits
+    next_id = atom_set.next_id
+    if straddled:
+        atoms = dict(atoms)
+        spliced = list(order)
+        # k splits before position at have shifted it by k
+        for k, at in enumerate(sorted(map(order.index, ids_of(straddled)))):
+            i = order[at]
+            a = atoms.pop(i)
+            ti, fi = next_id, next_id + 1
+            next_id += 2
+            atoms[ti] = engine.conj(a, p)
+            atoms[fi] = engine.diff(a, p)
+            splits[i] = (ti, fi)
+            covered |= 1 << ti
+            spliced[at + k:at + k + 1] = (ti, fi)
+        order = tuple(spliced)
+        for handle, bits in membership.items():
+            if bits & straddled:
+                for i in ids_of(bits & straddled):
+                    ti, fi = splits[i]
+                    bits ^= 1 << i | 1 << ti | 1 << fi
+                membership[handle] = bits
+        index = atom_set.store.split(index, engine, p.node, splits)
+    membership[p.node] = covered
+    return AtomSet(engine, atoms, order, membership, next_id, atom_set.store, index), splits
 
 
 def merge(atom_set: AtomSet, preds: Sequence[Predicate]) -> AtomSet:
@@ -215,7 +232,7 @@ def merge(atom_set: AtomSet, preds: Sequence[Predicate]) -> AtomSet:
     sig = dict.fromkeys(atom_set.order, 0)
     for k, p in enumerate(preds):
         bit = _pred_bit(k, n)
-        for i in atom_set.members_of(p):
+        for i in ids_of(atom_set.member_bits(p)):
             sig[i] |= bit
     groups: dict[int, Predicate] = {}
     for i in atom_set.order:
@@ -226,10 +243,12 @@ def merge(atom_set: AtomSet, preds: Sequence[Predicate]) -> AtomSet:
 
 
 def drop_source(atom_set: AtomSet, p: Predicate) -> AtomSet:
-    """Forget a source predicate's membership; the partition is untouched."""
+    """Forget a source predicate's membership; the partition and its index
+    are untouched."""
     if p.node not in atom_set.membership:
         raise UnknownPredicate(f"predicate handle {p.node} is not a live source")
     membership = {h: m for h, m in atom_set.membership.items() if h != p.node}
     return AtomSet(
-        atom_set.engine, atom_set.atoms, atom_set.order, membership, atom_set.next_id
+        atom_set.engine, atom_set.atoms, atom_set.order, membership,
+        atom_set.next_id, atom_set.store, atom_set.index,
     )

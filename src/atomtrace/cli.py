@@ -158,6 +158,7 @@ def _tree_stats(tree) -> dict:
         "avg_leaf_depth": float(aptree.avg_leaf_depth(tree)),
         "max_depth": max(d for _, d in ls),
         "structural_updates": tree.structural_updates,
+        "index_nodes": len(tree.atom_set.store),
     }
 
 

@@ -67,7 +67,7 @@ def close_over_rewrites(
                 # targets meet the image in disjoint parts of the pinned
                 # subspace, so no preimage is constant
                 straddled = True
-                for tid in touched(engine, atom_set, image):
+                for tid in touched(atom_set, image):
                     pre = rewrite_preimage_pred(
                         engine, atom_set.pred_of(tid), box.rewrite
                     )

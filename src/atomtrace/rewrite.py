@@ -4,15 +4,15 @@ A rewriter overwrites some fields with constants.  The image of an atom is
 the set of headers it produces; label rewriting is well defined only when
 every image lies inside a single atom.  Atoms are disjoint, so an image
 that lies in one atom lies in the atom of any one of its headers: one
-witness header and one implication decide containment, with no scan over
-the atoms.
+witness header, one walk of the atom index and one implication decide
+containment, with no scan over the atoms.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .atoms import AtomSet, atom_of_header
+from .atoms import AtomSet, ids_of
 from .bdd import Engine, FieldConstraint, Predicate
 from .model import RewriteSpec
 
@@ -36,16 +36,15 @@ def image_atom(
     image = _pin(engine, engine.exists(matched, [f for f, _ in spec.sets]), spec)
     if engine.is_false(image):
         return image, None
-    aid = atom_of_header(atom_set, engine.witness(image))
+    aid = atom_set.atom_of(engine.witness(image))
     return image, aid if engine.implies(image, atom_set.pred_of(aid)) else None
 
 
-def touched(engine: Engine, atom_set: AtomSet, p: Predicate) -> list[int]:
-    """Ids of the atoms p intersects, in atom order."""
-    return [
-        i for i in atom_set.order
-        if not engine.is_false(engine.conj(p, atom_set.pred_of(i)))
-    ]
+def touched(atom_set: AtomSet, p: Predicate) -> list[int]:
+    """Ids of the atoms p intersects, in atom order, by one product walk of
+    p with the atom index."""
+    inside, _ = atom_set.meets(p)
+    return sorted(ids_of(inside), key=atom_set.order.index)
 
 
 def rewrite_preimage_pred(

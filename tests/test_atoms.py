@@ -1,10 +1,10 @@
 import itertools
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from atomtrace.atoms import (
-    AtomSet,
     UnknownPredicate,
     atom_of_header,
     compute_atoms,
@@ -190,6 +190,21 @@ class TestRefine:
             drop_source(smaller, p2)
 
 
+class Partition(NamedTuple):
+    """What an AtomSet's equality compares: ids, predicates, order and
+    bitset membership (bit i for atom id i)."""
+
+    atoms: dict
+    order: tuple
+    membership: dict
+    next_id: int
+
+
+def partition(atom_set):
+    return Partition(atom_set.atoms, atom_set.order, atom_set.membership,
+                     atom_set.next_id)
+
+
 def reference_atoms(engine, preds):
     """Iterative refinement starting from {true} (Yang & Lam).
 
@@ -216,16 +231,13 @@ def reference_atoms(engine, preds):
                 refined.append((t, sig | bit))
                 refined.append((engine.diff(a, p), sig))
         atoms = refined
-    by_id = {i: a for i, (a, _) in enumerate(atoms)}
     membership = {}
     for k, p in enumerate(preds):
-        bit = 1 << k
-        membership[p.node] = frozenset(
-            i for i, (_, sig) in enumerate(atoms) if sig & bit
+        membership[p.node] = sum(
+            1 << i for i, (_, sig) in enumerate(atoms) if sig >> k & 1
         )
-    return AtomSet(
-        engine=engine,
-        atoms=by_id,
+    return Partition(
+        atoms={i: a for i, (a, _) in enumerate(atoms)},
         order=tuple(range(len(atoms))),
         membership=membership,
         next_id=len(atoms),
@@ -277,7 +289,27 @@ def test_compute_atoms_equals_refinement(layout, data):
     engine = Engine(layout)
     masks = data.draw(header_set_lists(layout.total_width))
     preds = [pred_of_headers(engine, m) for m in masks]
-    assert_same_atoms(compute_atoms(engine, preds), reference_atoms(engine, preds))
+    aset = compute_atoms(engine, preds)
+    assert_same_atoms(aset, reference_atoms(engine, preds))
+    for h in layout.all_headers():
+        assert aset.atom_of(h) == atom_of_header(aset, h)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_refine_keeps_the_index_exact(layout, data):
+    # after each refine the index names every header's atom, and it is the
+    # reduced diagram: a fresh build in the same store returns its root
+    engine = Engine(layout)
+    masks = data.draw(header_set_lists(layout.total_width))
+    aset = compute_atoms(engine, [])
+    for m in masks:
+        aset, _ = refine(aset, pred_of_headers(engine, m))
+        for h in layout.all_headers():
+            assert aset.atom_of(h) == atom_of_header(aset, h)
+        pairs = ((i, aset.pred_of(i).node) for i in aset.order)
+        assert aset.store.build(engine, pairs) == aset.index
 
 
 def live_update_doc():

@@ -43,6 +43,8 @@ class TestBasicCommands:
         data = json.loads(out)
         assert data["atom_count"] == data["leaf_count"] == 3
         assert data["version"] == 0
+        # 0***, 10** and 11**: three terminals below tests of bits 0 and 1
+        assert data["index_nodes"] == 5
 
     def test_classify_header_flag(self, capsys, snapshot_file, two_box_pipeline):
         code, out, _ = run(
@@ -160,6 +162,9 @@ class TestGenAndUpdate:
         # every update rebuilds, and each rebuild empties the op cache
         assert summary["rebuilds"] == summary["updates"] == 20
         assert summary["op_cache_entries"] == 0
+        # and starts a fresh index store: one terminal per atom, and at
+        # least atom_count - 1 tests above them
+        assert summary["index_nodes"] >= 2 * summary["atom_count"] - 1
 
     def test_update_by_rule_reference(self, capsys, snapshot_file, tmp_path):
         upd = tmp_path / "upd.jsonl"

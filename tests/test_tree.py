@@ -23,6 +23,7 @@ from atomtrace.bdd import Engine, FieldConstraint, HeaderLayout
 from atomtrace.model import _parse_match, parse_snapshot
 from atomtrace.pipeline import build_pipeline
 from atomtrace.workload import WorkloadSpec, generate, snapshot_bytes
+from tests.test_atoms import Partition, partition
 
 
 def prefix(engine, value, length):
@@ -315,19 +316,72 @@ def criterion_5_stream(seed):
     return pipe, ops
 
 
+def reference_refine(atom_set, p):
+    """Yang & Lam's refinement step, conjoining p with every atom: the
+    oracle for atoms.refine, which finds the straddled atoms by the index."""
+    engine = atom_set.engine
+    atoms = dict(atom_set.atoms)
+    membership = dict(atom_set.membership)
+    order, covered, next_id = [], 0, atom_set.next_id
+    for i in atom_set.order:
+        a = atom_set.atoms[i]
+        t = engine.conj(a, p)
+        if engine.is_false(t) or t == a:
+            order.append(i)
+            if t == a:
+                covered |= 1 << i
+            continue
+        ti, fi = next_id, next_id + 1
+        next_id += 2
+        del atoms[i]
+        atoms[ti], atoms[fi] = t, engine.diff(a, p)
+        order += [ti, fi]
+        covered |= 1 << ti
+        for handle, bits in membership.items():
+            if bits >> i & 1:
+                membership[handle] = bits & ~(1 << i) | 1 << ti | 1 << fi
+    membership[p.node] = covered
+    return Partition(atoms, tuple(order), membership, next_id)
+
+
+class CountedApplies:
+    """Counts the engine's public BDD applies while it is installed."""
+
+    OPS = ("conj", "disj", "neg", "diff", "exists", "implies")
+
+    def __init__(self, engine, monkeypatch):
+        self.calls = dict.fromkeys(self.OPS, 0)
+        for op in self.OPS:
+            monkeypatch.setattr(engine, op, self._counted(op, getattr(engine, op)))
+
+    def _counted(self, op, fn):
+        def counted(*args):
+            self.calls[op] += 1
+            return fn(*args)
+        return counted
+
+
 class TestExactWriterPath:
-    """The tree-guided add and the merge rebuild against their references:
-    atoms.refine over every atom, compute_atoms, and the leaf walk."""
+    """The index-guided add and the merge rebuild against their references:
+    refinement by every atom, compute_atoms, and the leaf walk."""
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_update_stream(self, seed):
+    def test_update_stream(self, seed, monkeypatch):
         pipe, ops = criterion_5_stream(seed)
         tree = pipe.tree
         for k, (op, pred) in enumerate(ops):
             if op == "add":
-                expected, _ = atoms.refine(tree.atom_set, pred)
+                expected = reference_refine(tree.atom_set, pred)
+                applies = CountedApplies(pipe.engine, monkeypatch)
+                before = len(tree.atom_set)
                 tree = add_predicate(tree, pred)
-                assert tree.atom_set == expected  # ids, predicates, order, membership
+                monkeypatch.undo()
+                # one conj and one diff per straddled atom, and nothing else
+                split = len(tree.atom_set) - before
+                assert applies.calls == dict(
+                    dict.fromkeys(CountedApplies.OPS, 0), conj=split, diff=split
+                )
+                assert partition(tree.atom_set) == expected
             else:
                 tree = remove_predicate(tree, pred)
             assert Fraction(tree.depth_sum, len(tree.atom_set)) == avg_leaf_depth(tree)
@@ -340,6 +394,37 @@ class TestExactWriterPath:
     def test_merge_without_sources_is_one_atom(self, three_atoms):
         engine, preds, aset = three_atoms
         assert atoms.merge(aset, []) == compute_atoms(engine, [])
+
+
+class TestAtomIndex:
+    """The writer's atom index against the linear-scan oracle, on the
+    criterion-5 streams."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_index_follows_the_stream(self, seed):
+        pipe, ops = criterion_5_stream(seed)
+        layout = pipe.snapshot.layout
+        rng = random.Random(seed)
+        pool = [layout.header({name: rng.getrandbits(w) for name, w in layout.fields})
+                for _ in range(4000)]
+        classifier = PublishedClassifier(pipe.tree, rebuild_after=256)
+        engine = pipe.engine
+        for k, (op, pred) in enumerate(ops):
+            (classifier.add if op == "add" else classifier.remove)(pred)
+            aset = classifier.tree.atom_set
+            # atoms are disjoint, so the index's atom is atom_of_header's
+            # exactly when it holds on the header; the scan itself runs on
+            # every 25th update
+            for h in rng.sample(pool, 200):
+                aid = aset.atom_of(h)
+                assert engine.eval(aset.pred_of(aid), h)
+                if k % 25 == 0:
+                    assert aid == atom_of_header(aset, h)
+            if classifier.rebuilds and classifier.rebuilds[-1]["update"] == classifier.updates:
+                # a rebuild starts a fresh store, holding only the fresh index
+                fresh = compute_atoms(pipe.engine, classifier.tree.sources)
+                assert len(aset.store) == len(fresh.store)
+        assert classifier.rebuild_count >= 3
 
 
 class TestOpCacheLifetime:
