@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -48,12 +48,16 @@ class APTree:
     engine: Engine
     root: Node
     atom_set: AtomSet
-    sources: tuple[Predicate, ...]  # live predicates, in refinement order
     depth_sum: int  # sum of leaf depths (one leaf per atom), for the drift check
     version: int = 0
     structural_updates: int = 0
     strategy: str = GREEDY
     seed: int = 0
+
+    @property
+    def sources(self) -> tuple[Predicate, ...]:
+        """The live predicates, in refinement order: the atom set's sources."""
+        return self.atom_set.sources
 
 
 def build(
@@ -64,7 +68,8 @@ def build(
     seed: int = 0,
     version: int = 0,
 ) -> APTree:
-    """Construct a pruned tree over the atom partition.
+    """Construct a pruned tree over the atom partition; preds are the atom
+    set's sources, in the order candidates are tried.
 
     At each node only predicates that split the reachable atom set are
     candidates (the rest can never matter below this point, which is what
@@ -116,7 +121,6 @@ def build(
         engine=engine,
         root=root,
         atom_set=atom_set,
-        sources=tuple(preds),
         depth_sum=depth_sum,
         version=version,
         strategy=strategy,
@@ -176,43 +180,41 @@ def add_predicate(tree: APTree, p: Predicate) -> APTree:
     engine = tree.engine
     if p.node in (0, 1):
         raise ValueError("cannot add a constant predicate")
-    new_atoms, splits = atoms_mod.refine(tree.atom_set, p)
-    reached: set[int] = set()  # id() of the internal nodes on the split leaves' paths
-    for ti, _ in splits.values():
-        h = engine.witness(new_atoms.pred_of(ti))
-        node = tree.root
-        while isinstance(node, Internal):
-            reached.add(id(node))
-            node = node.true_child if engine.eval(node.pred, h) else node.false_child
-    depth_sum = tree.depth_sum
+    atom_set, splits = atoms_mod.refine(tree.atom_set, p)
+    root, depth_sum = tree.root, tree.depth_sum
+    if splits:
+        var, lo, hi = engine._var, engine._lo, engine._hi
+        reached: set[int] = set()  # id() of the internal nodes on the split leaves' paths
+        for ti, _ in splits.values():
+            bits = engine.witness(atom_set.pred_of(ti)).bits
+            node = root
+            while type(node) is Internal:
+                reached.add(id(node))
+                n = node.pred.node
+                while n > 1:
+                    n = hi[n] if bits[var[n]] else lo[n]
+                node = node.true_child if n else node.false_child
 
-    def rewrite(node: Node, depth: int) -> Node:
-        nonlocal depth_sum
-        if isinstance(node, Leaf):
-            if node.atom in splits:
-                depth_sum += depth + 2  # one leaf at depth d becomes two at d+1
-                ti, fi = splits[node.atom]
-                return Internal(p, Leaf(ti), Leaf(fi))
-            return node
-        if id(node) not in reached:
-            return node
-        t = rewrite(node.true_child, depth + 1)
-        f = rewrite(node.false_child, depth + 1)
-        if t is node.true_child and f is node.false_child:
-            return node
-        return Internal(node.pred, t, f)
+        def rewrite(node: Node, depth: int) -> Node:
+            nonlocal depth_sum
+            if type(node) is Leaf:
+                if node.atom in splits:
+                    depth_sum += depth + 2  # one leaf at depth d becomes two at d+1
+                    ti, fi = splits[node.atom]
+                    return Internal(p, Leaf(ti), Leaf(fi))
+                return node
+            if id(node) not in reached:
+                return node
+            t = rewrite(node.true_child, depth + 1)
+            f = rewrite(node.false_child, depth + 1)
+            if t is node.true_child and f is node.false_child:
+                return node
+            return Internal(node.pred, t, f)
 
-    root = rewrite(tree.root, 0) if splits else tree.root
-    sources = tree.sources
-    if p.node not in tree.atom_set.membership:
-        sources = sources + (p,)
-    return replace(
-        tree,
-        root=root,
-        atom_set=new_atoms,
-        sources=sources,
-        depth_sum=depth_sum,
-        structural_updates=tree.structural_updates + 1,
+        root = rewrite(root, 0)
+    return APTree(
+        engine, root, atom_set, depth_sum, tree.version,
+        tree.structural_updates + 1, tree.strategy, tree.seed,
     )
 
 
@@ -220,22 +222,21 @@ def remove_predicate(tree: APTree, p: Predicate) -> APTree:
     """Drop p from the live sources; the structure keeps classifying correctly
     because every cell is still contained in one atom of the remaining set.
     Raises UnknownPredicate when p is not live."""
-    new_atoms = atoms_mod.drop_source(tree.atom_set, p)
-    return replace(
-        tree,
-        atom_set=new_atoms,
-        sources=tuple(s for s in tree.sources if s.node != p.node),
-        structural_updates=tree.structural_updates + 1,
+    return APTree(
+        tree.engine, tree.root, atoms_mod.drop_source(tree.atom_set, p),
+        tree.depth_sum, tree.version, tree.structural_updates + 1,
+        tree.strategy, tree.seed,
     )
 
 
 def rebuild(tree: APTree) -> APTree:
     """Merge the cells into the atoms of the live predicates and grow a fresh
     tree; the op cache then holds only the work of later updates."""
+    sources = tree.sources
     fresh = build(
         tree.engine,
-        atoms_mod.merge(tree.atom_set, tree.sources),
-        tree.sources,
+        atoms_mod.merge(tree.atom_set, sources),
+        sources,
         strategy=tree.strategy,
         seed=tree.seed,
         version=tree.version + 1,

@@ -4,7 +4,9 @@ every network predicate is a disjoint union of its blocks."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .atomindex import IndexStore
 from .bdd import FALSE, TRUE, Engine, EngineMismatch, Header, Predicate
@@ -14,39 +16,139 @@ class UnknownPredicate(KeyError):
     pass
 
 
-@dataclass(frozen=True)
+class AtomLine:
+    """Append-only record of every atom one partition and its refinements
+    have made, shared by all of their versions.
+
+    preds[i] is atom id i's predicate, and keys[i] its position: base atom
+    j has key (j,), and the inside and outside children of a split atom
+    with key k get k + (0,) and k + (1,), so sorting live ids by key lists
+    them in refinement order.  A new id is the line's length, so two
+    versions refined from one parent never share an id.  store holds the
+    line's atom indexes.
+    """
+
+    def __init__(self, engine: Engine, preds: Sequence[Predicate]):
+        self.preds: list[Predicate] = list(preds)
+        self.keys: list[tuple[int, ...]] = [(j,) for j in range(len(self.preds))]
+        self.base = len(self.preds)
+        self.store = IndexStore(engine.width)
+
+
+# A split log: None, or the cell (atom id, inside id, outside id, older
+# cell) of a version's latest split.  Cells are shared between versions.
+SplitLog = Optional[tuple[int, int, int, "SplitLog"]]
+
+
+@dataclass(frozen=True, eq=False)
 class AtomSet:
     """Pairwise-disjoint, jointly-exhaustive atoms plus source membership.
 
-    atoms maps atom id -> predicate; order lists ids in their canonical
-    order; membership maps a source predicate's handle to the bitset (bit i
-    for atom id i) of the atoms whose disjunction equals it.  index is the
-    root, in store, of the atom index: the decision diagram from a header
-    to its atom id (atomindex).  Equality compares the partition and
-    membership, not where the index lives.  Immutable: refinements return
-    a new AtomSet sharing unchanged entries and the store.
+    A version of its line: index is the root, in the line's store, of the
+    atom index (the decision diagram from a header to its atom id,
+    atomindex), and the live atoms are the ids that index reaches.  log
+    lists the splits that made this version from the line's base atoms.
+    members maps a source predicate's handle to the bitset (bit i for atom
+    id i) of the atoms whose disjunction it was when it was recorded;
+    membership replays the later splits of those atoms.  So an update
+    copies members and touches only what it splits.
+
+    atoms, order, membership and next_id are exact read-only views for
+    readers and tests, computed once per version; no update reads them.
+    Equality compares the views, not where the line lives.
     """
 
     engine: Engine
-    atoms: dict[int, Predicate]
-    order: tuple[int, ...]
-    membership: dict[int, int]
-    next_id: int
-    store: IndexStore = field(compare=False, repr=False)
-    index: int = field(compare=False, repr=False)
+    line: AtomLine = field(repr=False)
+    members: dict[int, int] = field(repr=False)
+    log: SplitLog = field(repr=False)
+    index: int = field(repr=False)
+
+    @property
+    def store(self) -> IndexStore:
+        return self.line.store
+
+    @property
+    def live(self) -> int:
+        """Bitset of the live atom ids: those the index reaches."""
+        return self.line.store.bits[self.index]
 
     def __len__(self) -> int:
-        return len(self.order)
+        return self.live.bit_count()
+
+    def __eq__(self, other):
+        if not isinstance(other, AtomSet):
+            return NotImplemented
+        return (
+            self.engine is other.engine
+            and self.order == other.order
+            and self.atoms == other.atoms
+            and self.membership == other.membership
+            and self.next_id == other.next_id
+        )
+
+    __hash__ = None
+
+    def in_order(self, bits: int) -> list[int]:
+        """The atom ids in a bitset, in atom order."""
+        return sorted(ids_of(bits), key=self.line.keys.__getitem__)
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        return tuple(self.in_order(self.live))
+
+    @cached_property
+    def atoms(self) -> Mapping[int, Predicate]:
+        preds = self.line.preds
+        return MappingProxyType({i: preds[i] for i in self.order})
+
+    def splits(self) -> list[tuple[int, int, int]]:
+        """(atom id, inside id, outside id) of every split in the log,
+        newest first."""
+        out = []
+        cell = self.log
+        while cell is not None:
+            i, ti, fi, cell = cell
+            out.append((i, ti, fi))
+        return out
+
+    @cached_property
+    def membership(self) -> Mapping[int, int]:
+        """Every source's exact bitset: its recorded bits with each split
+        atom replaced by its children, by one pass over the log.  An atom
+        in the recorded bits was live when they were recorded, so if this
+        version's log splits it, the split came later."""
+        children, split = {}, 0
+        for i, ti, fi in self.splits():
+            children[i] = 1 << i | 1 << ti | 1 << fi
+            split |= 1 << i
+        out = {}
+        for handle, bits in self.members.items():
+            while bits & split:
+                for i in ids_of(bits & split):
+                    bits ^= children[i]
+            out[handle] = bits
+        return MappingProxyType(out)
+
+    @property
+    def next_id(self) -> int:
+        """One past the last id this version's splits made."""
+        return self.log[2] + 1 if self.log is not None else self.line.base
+
+    @property
+    def sources(self) -> tuple[Predicate, ...]:
+        """The live source predicates, in refinement order."""
+        return tuple(Predicate(self.engine, h) for h in self.members)
 
     def pred_of(self, atom_id: int) -> Predicate:
-        return self.atoms[atom_id]
+        return self.line.preds[atom_id]
 
     def member_bits(self, p: Predicate) -> int:
         """Bitset of the atoms whose disjunction is p: a source, or a constant."""
         if p.node == FALSE:
             return 0
         if p.node == TRUE:
-            return self.store.bits[self.index]
+            return self.live
         try:
             return self.membership[p.node]
         except KeyError:
@@ -58,12 +160,12 @@ class AtomSet:
 
     def atom_of(self, h: Header) -> int:
         """The atom containing h, by one walk of the index."""
-        return self.store.lookup(self.index, h.bits)
+        return self.line.store.lookup(self.index, h.bits)
 
     def meets(self, p: Predicate) -> tuple[int, int]:
         """Bitsets of the atoms that meet p and of those that meet its
         complement; an atom in both straddles p."""
-        return self.store.meets(self.index, self.engine, p.node)
+        return self.line.store.meets(self.index, self.engine, p.node)
 
 
 def ids_of(bits: int) -> Iterator[int]:
@@ -133,8 +235,8 @@ def _pred_bit(k: int, n: int) -> int:
 def _atom_set(
     engine: Engine, preds: Sequence[Predicate], cells: dict[int, Predicate]
 ) -> AtomSet:
-    """The AtomSet of cells keyed by membership signature over preds, with
-    its index in a fresh store.
+    """The AtomSet of cells keyed by membership signature over preds, as
+    the base of a fresh line.
 
     Refinement by preds in order lists each atom's inside before its
     outside, first pred deciding first; so atoms are ordered by the preds
@@ -149,23 +251,16 @@ def _atom_set(
             low = s & -s
             members[n - low.bit_length()] |= 1 << j
             s ^= low
-    store = IndexStore(engine.width)
-    return AtomSet(
-        engine=engine,
-        atoms={j: cells[s] for j, s in enumerate(sigs)},
-        order=tuple(range(len(sigs))),
-        membership={p.node: members[k] for k, p in enumerate(preds)},
-        next_id=len(sigs),
-        store=store,
-        index=store.build(engine, ((j, cells[s].node) for j, s in enumerate(sigs))),
-    )
+    line = AtomLine(engine, [cells[s] for s in sigs])
+    index = line.store.build(engine, ((j, cells[s].node) for j, s in enumerate(sigs)))
+    return AtomSet(engine, line, {p.node: members[k] for k, p in enumerate(preds)}, None, index)
 
 
 def atom_of_header(atom_set: AtomSet, h: Header) -> int:
     """Reference classifier: linear scan for the unique atom true at h."""
-    engine = atom_set.engine
-    for i in atom_set.order:
-        if engine.eval(atom_set.atoms[i], h):
+    engine, preds = atom_set.engine, atom_set.line.preds
+    for i in ids_of(atom_set.live):
+        if engine.eval(preds[i], h):
             return i
     raise AssertionError("atoms are not exhaustive")  # unreachable by invariant
 
@@ -175,11 +270,12 @@ def refine(atom_set: AtomSet, p: Predicate) -> tuple[AtomSet, dict[int, tuple[in
 
     One product walk of p with the index tells the atoms inside p, those
     outside it and those that straddle it; only the straddled ones are
-    conjoined with p.  Atoms fully inside or outside p keep their ids, and
-    split atoms get fresh ids in atom order.  Membership of every existing
-    source replaces a split atom by both children (each child is contained
-    in the parent, so implication is inherited), and the index replaces its
-    terminal by ite(p, inside, outside).
+    split, by one Engine.split each.  Atoms fully inside or outside p keep
+    their ids, and split atoms get fresh ids in atom order, appended to the
+    line and logged.  Other sources' bits are left as recorded: each child
+    is contained in its parent, so implication is inherited, and readers
+    replay the log.  The index replaces each split terminal by ite(p,
+    inside, outside).
     """
     engine = atom_set.engine
     if p.engine is not engine:
@@ -188,56 +284,54 @@ def refine(atom_set: AtomSet, p: Predicate) -> tuple[AtomSet, dict[int, tuple[in
     straddled = inside & outside
     covered = inside & ~outside
     splits: dict[int, tuple[int, int]] = {}
-    atoms, order, index = atom_set.atoms, atom_set.order, atom_set.index
-    membership = dict(atom_set.membership)
-    next_id = atom_set.next_id
+    line, log, index = atom_set.line, atom_set.log, atom_set.index
     if straddled:
-        atoms = dict(atoms)
-        spliced = list(order)
-        # k splits before position at have shifted it by k
-        for k, at in enumerate(sorted(map(order.index, ids_of(straddled)))):
-            i = order[at]
-            a = atoms.pop(i)
-            ti, fi = next_id, next_id + 1
-            next_id += 2
-            atoms[ti] = engine.conj(a, p)
-            atoms[fi] = engine.diff(a, p)
+        preds, keys = line.preds, line.keys
+        for i in atom_set.in_order(straddled):
+            ti = len(preds)
+            fi = ti + 1
+            preds.extend(engine.split(preds[i], p))
+            keys.extend((keys[i] + (0,), keys[i] + (1,)))
             splits[i] = (ti, fi)
             covered |= 1 << ti
-            spliced[at + k:at + k + 1] = (ti, fi)
-        order = tuple(spliced)
-        for handle, bits in membership.items():
-            if bits & straddled:
-                for i in ids_of(bits & straddled):
-                    ti, fi = splits[i]
-                    bits ^= 1 << i | 1 << ti | 1 << fi
-                membership[handle] = bits
-        index = atom_set.store.split(index, engine, p.node, splits)
-    membership[p.node] = covered
-    return AtomSet(engine, atoms, order, membership, next_id, atom_set.store, index), splits
+            log = (i, ti, fi, log)
+        index = line.store.split(index, engine, p.node, splits)
+    members = atom_set.members.copy()
+    members[p.node] = covered
+    return AtomSet(engine, line, members, log, index), splits
 
 
 def merge(atom_set: AtomSet, preds: Sequence[Predicate]) -> AtomSet:
     """The atoms of preds, by merging the cells of a finer partition.
 
-    Every pred's membership in atom_set must be exact, as refine and
-    drop_source keep it, so each cell lies in exactly one atom of preds:
-    the atom of cells with the same membership signature.  Equals
+    Every pred must be a source of atom_set or a constant.  Its
+    membership is exact, as refine and drop_source keep it, so each cell
+    lies in exactly one atom of preds: the atom of cells with the same
+    membership signature.  Equals
     compute_atoms(engine, preds) -- ids, predicates, order and membership
     -- at one disjunction per merged cell, without walking the preds'
     BDDs.
     """
     engine = atom_set.engine
     n = len(preds)
-    sig = dict.fromkeys(atom_set.order, 0)
+    # signatures from the sources' bits as recorded, then handed down the
+    # split log, oldest split first, so no membership is replayed
+    members = atom_set.members
+    sig: dict[int, int] = {}
     for k, p in enumerate(preds):
         bit = _pred_bit(k, n)
-        for i in ids_of(atom_set.member_bits(p)):
-            sig[i] |= bit
+        bits = members[p.node] if p.node in members else atom_set.member_bits(p)
+        for i in ids_of(bits):
+            sig[i] = sig.get(i, 0) | bit
+    for i, ti, fi in reversed(atom_set.splits()):
+        if i in sig:
+            s = sig.pop(i)
+            sig[ti] = sig.get(ti, 0) | s
+            sig[fi] = sig.get(fi, 0) | s
     groups: dict[int, Predicate] = {}
     for i in atom_set.order:
-        g = sig[i]
-        a = atom_set.atoms[i]
+        g = sig.get(i, 0)
+        a = atom_set.pred_of(i)
         groups[g] = engine.disj(groups[g], a) if g in groups else a
     return _atom_set(engine, preds, groups)
 
@@ -245,10 +339,8 @@ def merge(atom_set: AtomSet, preds: Sequence[Predicate]) -> AtomSet:
 def drop_source(atom_set: AtomSet, p: Predicate) -> AtomSet:
     """Forget a source predicate's membership; the partition and its index
     are untouched."""
-    if p.node not in atom_set.membership:
+    if p.node not in atom_set.members:
         raise UnknownPredicate(f"predicate handle {p.node} is not a live source")
-    membership = {h: m for h, m in atom_set.membership.items() if h != p.node}
-    return AtomSet(
-        atom_set.engine, atom_set.atoms, atom_set.order, membership,
-        atom_set.next_id, atom_set.store, atom_set.index,
-    )
+    members = atom_set.members.copy()
+    del members[p.node]
+    return AtomSet(atom_set.engine, atom_set.line, members, atom_set.log, atom_set.index)

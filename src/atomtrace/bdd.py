@@ -32,6 +32,25 @@ class LengthMismatch(ValueError):
     pass
 
 
+# bytes.translate tables between 0/1 bit values and the digits "0"/"1"
+_BIT_OF_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
+_DIGIT_OF_BIT = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def int_bits(value: int, width: int) -> bytes:
+    """The width low bits of a non-negative value, most significant first,
+    as bytes of 0 and 1."""
+    return format(value, f"0{width}b").encode().translate(_BIT_OF_DIGIT)
+
+
+def field_int(name: str, value) -> int:
+    """A field value given as an int or a decimal string.  Floats (inf and
+    nan included) and bools are refused rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"{name}={value!r} is not an integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class HeaderLayout:
     """Ordered (name, width) fields defining the header bit space."""
@@ -48,51 +67,54 @@ class HeaderLayout:
             names.add(name)
         if not self.fields:
             raise InvalidLayout("layout has no fields")
+        # name -> (offset, width, shift): the field's first bit, its width,
+        # and where its value sits in the header packed MSB-first into one int
+        place, off = {}, 0
+        total = sum(w for _, w in self.fields)
+        for name, width in self.fields:
+            place[name] = (off, width, total - off - width)
+            off += width
+        object.__setattr__(self, "_place", place)
+        object.__setattr__(self, "_total", total)
 
     @property
     def total_width(self) -> int:
-        return sum(w for _, w in self.fields)
+        return self._total
+
+    def _field(self, name: str) -> tuple[int, int, int]:
+        try:
+            return self._place[name]
+        except (KeyError, TypeError):
+            raise UnknownField(name) from None
 
     def field_width(self, name: str) -> int:
-        for n, w in self.fields:
-            if n == name:
-                return w
-        raise UnknownField(name)
+        return self._field(name)[1]
 
     def field_offset(self, name: str) -> int:
-        off = 0
-        for n, w in self.fields:
-            if n == name:
-                return off
-            off += w
-        raise UnknownField(name)
+        return self._field(name)[0]
 
     def header(self, values: dict[str, int]) -> "Header":
-        """Build a header from per-field integer values; missing fields are 0."""
-        bits = [0] * self.total_width
+        """Build a header from per-field values (ints or decimal strings);
+        missing fields are 0.  The fields are packed into one int, then
+        expanded to bits in one pass."""
+        packed = 0
         for name, value in values.items():
-            off = self.field_offset(name)
-            w = self.field_width(name)
-            value = int(value)
+            _, w, shift = self._field(name)
+            value = field_int(name, value)
             if not 0 <= value < (1 << w):
                 raise ValueOutOfRange(f"{name}={value} does not fit {w} bits")
-            for i in range(w):
-                bits[off + i] = (value >> (w - 1 - i)) & 1
-        return Header(tuple(bits))
+            packed |= value << shift
+        return Header(tuple(int_bits(packed, self._total)))
 
     def header_from_int(self, value: int) -> "Header":
-        w = self.total_width
+        w = self._total
         if not 0 <= value < (1 << w):
             raise ValueOutOfRange(f"{value} does not fit {w} bits")
-        return Header(tuple((value >> (w - 1 - i)) & 1 for i in range(w)))
+        return Header(tuple(int_bits(value, w)))
 
     def field_value(self, header: "Header", name: str) -> int:
-        off = self.field_offset(name)
-        w = self.field_width(name)
-        v = 0
-        for i in range(w):
-            v = (v << 1) | header.bits[off + i]
-        return v
+        off, w, _ = self._field(name)
+        return int(bytes(header.bits[off:off + w]).translate(_DIGIT_OF_BIT), 2)
 
     def all_headers(self) -> Iterable["Header"]:
         """Every header in the space; only sensible at small widths."""
@@ -282,6 +304,38 @@ class Engine:
     def diff(self, a: Predicate, b: Predicate) -> Predicate:
         self._check(a, b)
         return self._wrap(self._diff(a.node, b.node))
+
+    def split(self, a: Predicate, p: Predicate) -> tuple[Predicate, Predicate]:
+        """(a & p, a - p) in one recursion over both BDDs.
+
+        Its memo lives for this call only, so a split adds nodes but no
+        op-cache entries.
+        """
+        self._check(a, p)
+        var, lo, hi, mk = self._var, self._lo, self._hi, self._mk
+        memo: dict[int, tuple[int, int]] = {}
+
+        def go(a: int, b: int) -> tuple[int, int]:
+            if a == FALSE:
+                return FALSE, FALSE
+            if b == TRUE or a == b:
+                return a, FALSE
+            if b == FALSE:
+                return FALSE, a
+            key = a << 32 | b
+            r = memo.get(key)
+            if r is None:
+                va, vb = var[a], var[b]
+                v = va if va < vb else vb
+                a0, a1 = (lo[a], hi[a]) if va == v else (a, a)
+                b0, b1 = (lo[b], hi[b]) if vb == v else (b, b)
+                t0, f0 = go(a0, b0)
+                t1, f1 = go(a1, b1)
+                r = memo[key] = (mk(v, t0, t1), mk(v, f0, f1))
+            return r
+
+        t, f = go(a.node, p.node)
+        return self._wrap(t), self._wrap(f)
 
     def _and(self, a: int, b: int) -> int:
         if a == FALSE or b == FALSE:

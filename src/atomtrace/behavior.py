@@ -15,7 +15,7 @@ from typing import Optional, Union
 
 from .aptree import classify
 from .atoms import AtomSet, atom_of_header
-from .bdd import FieldConstraint, Header
+from .bdd import FieldConstraint, Header, int_bits
 from .model import Box, NetworkSnapshot, CompiledNetwork
 
 
@@ -296,8 +296,7 @@ def reference_trace(
             for fname, value in box.rewrite.sets:
                 off = layout.field_offset(fname)
                 w = layout.field_width(fname)
-                for i in range(w):
-                    bits[off + i] = (value >> (w - 1 - i)) & 1
+                bits[off:off + w] = int_bits(value, w)
             h = Header(tuple(bits))
 
         if (box_id, out_port) in snapshot.external_ports:

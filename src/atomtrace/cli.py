@@ -229,6 +229,7 @@ def cmd_update(args) -> int:
     summary = {
         "updates": len(latencies),
         "p50_ms": bench.percentile(s, 0.5),
+        "p90_ms": bench.percentile(s, 0.9),
         "p95_ms": bench.percentile(s, 0.95),
         "p99_ms": bench.percentile(s, 0.99),
         "rebuilds": classifier.rebuild_count,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .aptree import classify
-from .atoms import AtomSet
+from .atoms import AtomSet, ids_of
 from .bdd import Header
 from .behavior import BehaviorMap, BehaviorReport, BoxTable, Hop, Loop, trace, walk
 from .model import NetworkSnapshot
@@ -60,7 +60,7 @@ def _assign_labels(atom_ids: Iterable[int], agent_key: int) -> dict[int, int]:
 
 def build_label_plane(atom_set: AtomSet, agent_key: int, bmap: BehaviorMap) -> LabelPlane:
     """Relabel every box's atom-keyed table with keyed labels."""
-    label_of = _assign_labels(atom_set.order, agent_key)
+    label_of = _assign_labels(ids_of(atom_set.live), agent_key)
     atom_of = {l: a for a, l in label_of.items()}
     tables = {b: t.relabel(label_of) for b, t in bmap.tables.items()}
     return LabelPlane(label_of, atom_of, tables)

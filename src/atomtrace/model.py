@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .bdd import Engine, EngineMismatch, FieldConstraint, HeaderLayout, Predicate
+from .bdd import Engine, EngineMismatch, FieldConstraint, HeaderLayout, Predicate, field_int
 
 
 class SnapshotError(ValueError):
@@ -92,6 +92,10 @@ class NetworkSnapshot:
         )
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_value(raw, width: int, where: str) -> int:
     if isinstance(raw, str) and "." in raw:
         if width != 32:
@@ -103,7 +107,7 @@ def _parse_value(raw, width: int, where: str) -> int:
             (int(parts[0]) << 24) | (int(parts[1]) << 16) | (int(parts[2]) << 8) | int(parts[3])
         )
     try:
-        return int(raw)
+        return field_int(where, raw)
     except (TypeError, ValueError):
         raise BadConstraint(f"{where}: bad integer {raw!r}")
 
@@ -122,7 +126,7 @@ def _parse_constraint(obj: dict, layout: HeaderLayout, where: str) -> FieldConst
         return FieldConstraint.exact(fname, _parse_value(obj.get("value"), width, where))
     if kind == "prefix":
         length = obj.get("length")
-        if not isinstance(length, int) or not 0 <= length <= width:
+        if not _is_int(length) or not 0 <= length <= width:
             raise BadConstraint(f"{where}: bad prefix length {length!r}")
         return FieldConstraint.prefix(
             fname, _parse_value(obj.get("value"), width, where), length
@@ -156,7 +160,7 @@ def parse_snapshot(document: Union[bytes, str, dict]) -> NetworkSnapshot:
 
     try:
         layout = HeaderLayout(
-            tuple((f["name"], int(f["width"])) for f in doc.get("layout", []))
+            tuple((f["name"], field_int("width", f["width"])) for f in doc.get("layout", []))
         )
     except (KeyError, TypeError, ValueError) as e:
         raise SnapshotSyntaxError(f"bad layout: {e}") from e
@@ -182,7 +186,7 @@ def parse_snapshot(document: Union[bytes, str, dict]) -> NetworkSnapshot:
         for robj in bobj.get("rules", []):
             where = f"box {bid!r} rule"
             prio = robj.get("priority")
-            if not isinstance(prio, int):
+            if not _is_int(prio):
                 raise SnapshotSyntaxError(f"{where}: bad priority {prio!r}")
             if prio in seen_prio:
                 raise SnapshotSyntaxError(

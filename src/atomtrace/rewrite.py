@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .atoms import AtomSet, ids_of
+from .atoms import AtomSet
 from .bdd import Engine, FieldConstraint, Predicate
 from .model import RewriteSpec
 
@@ -44,7 +44,7 @@ def touched(atom_set: AtomSet, p: Predicate) -> list[int]:
     """Ids of the atoms p intersects, in atom order, by one product walk of
     p with the atom index."""
     inside, _ = atom_set.meets(p)
-    return sorted(ids_of(inside), key=atom_set.order.index)
+    return atom_set.in_order(inside)
 
 
 def rewrite_preimage_pred(

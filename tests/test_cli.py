@@ -134,6 +134,8 @@ class TestGenAndUpdate:
         summary = lines[-1]
         assert summary["updates"] > 0
         assert "p95_ms" in summary
+        # p90_ms is perfbench's update metric
+        assert summary["p50_ms"] <= summary["p90_ms"] <= summary["p95_ms"]
 
     def test_update_reports_rebuild_triggers(self, capsys, tmp_path):
         snap = tmp_path / "snap.json"
@@ -221,6 +223,66 @@ class TestBadInputLines:
         assert code == 1
         assert len(out.strip().splitlines()) == 1
         assert "line 2" in err and message in err
+
+
+# JSON field values that are not integers: each used to be truncated, or to
+# raise OverflowError (exit 3) from int(inf)
+NON_INTEGERS = ["Infinity", "-Infinity", "NaN", "1.5", "true"]
+
+
+class TestNonIntegerValues:
+    """A float or bool field value is a usage error (exit 1), never truncated."""
+
+    @pytest.mark.parametrize("value", NON_INTEGERS)
+    def test_trace_header(self, capsys, snapshot_file, monkeypatch, value):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(
+            '{"header": {"h": 10}, "ingress": ["s1", "ext"]}\n'
+            f'{{"header": {{"h": {value}}}, "ingress": ["s1", "ext"]}}\n'))
+        code, out, err = run(capsys, "trace", "--snapshot", snapshot_file)
+        assert code == 1
+        assert len(out.strip().splitlines()) == 1
+        assert "line 2" in err and "not an integer" in err
+
+    @pytest.mark.parametrize("value", NON_INTEGERS)
+    def test_classify_header(self, capsys, snapshot_file, monkeypatch, value):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f'{{"h": 3}}\n{{"h": {value}}}\n'))
+        code, out, err = run(capsys, "classify", "--snapshot", snapshot_file)
+        assert code == 1
+        assert len(out.strip().splitlines()) == 1
+        assert "line 2" in err and "not an integer" in err
+
+    @pytest.mark.parametrize("value", NON_INTEGERS)
+    def test_compile_snapshot_constraint(self, capsys, tmp_path, value):
+        text = doc_bytes(TWO_BOX_DOC).decode()
+        match = '{"field": "h", "kind": "prefix", "value": 8, "length": 1}'
+        assert match in text
+        path = tmp_path / "bad.json"
+        path.write_text(text.replace(match, match.replace('"value": 8', f'"value": {value}'), 1))
+        code, _, err = run(capsys, "compile", "--snapshot", str(path))
+        assert code == 1
+        assert "box 's1' rule: bad integer" in err
+
+    @pytest.mark.parametrize("value", NON_INTEGERS)
+    def test_update_inline_predicate(self, capsys, snapshot_file, tmp_path, value):
+        upd = tmp_path / "upd.jsonl"
+        upd.write_text(
+            json.dumps({"op": "remove", "pred": {"box": "s2", "port": "pext"}}) + "\n"
+            f'{{"op": "add", "pred": [{{"field": "h", "kind": "exact", "value": {value}}}]}}\n'
+        )
+        code, out, err = run(
+            capsys, "update", "--snapshot", snapshot_file, "--updates", str(upd)
+        )
+        assert code == 1
+        assert len(out.strip().splitlines()) == 1
+        assert "line 2" in err and "bad integer" in err
+
+    def test_decimal_strings_still_accepted(self, capsys, snapshot_file):
+        code, out, _ = run(
+            capsys, "classify", "--snapshot", snapshot_file, "--header", '{"h": "10"}'
+        )
+        assert code == 0
+        assert out == run(capsys, "classify", "--snapshot", snapshot_file,
+                          "--header", '{"h": 10}')[1]
 
 
 class TestBenchAndExitCodes:

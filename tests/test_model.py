@@ -112,6 +112,28 @@ class TestParse:
             parse_snapshot(doc_bytes(doc))
 
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), 1.5, True])
+    @pytest.mark.parametrize("where", ["value", "length", "priority", "width", "set"])
+    def test_non_integer_numbers_rejected(self, where, bad):
+        # parse_snapshot takes the parsed document, so inf and nan need no
+        # JSON spelling here; each used to be truncated, or to raise
+        # OverflowError from int(inf)
+        constraint = {"field": "h", "kind": "prefix", "value": 8, "length": 1}
+        rule = {"priority": 1, "match": [constraint], "action": "drop"}
+        doc = small_doc([rule])
+        if where == "width":
+            doc["layout"][0]["width"] = bad
+        elif where == "priority":
+            rule["priority"] = bad
+        elif where == "set":
+            doc["boxes"][0].update(kind="rewriter", rewrite={
+                "match": [], "sets": [{"field": "h", "value": bad}]})
+        else:
+            constraint[where] = bad
+        with pytest.raises(SnapshotError):
+            parse_snapshot(doc)
+
+
 class TestCompile:
     def test_priority_resolution(self):
         doc = small_doc(

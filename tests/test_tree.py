@@ -23,7 +23,9 @@ from atomtrace.bdd import Engine, FieldConstraint, HeaderLayout
 from atomtrace.model import _parse_match, parse_snapshot
 from atomtrace.pipeline import build_pipeline
 from atomtrace.workload import WorkloadSpec, generate, snapshot_bytes
-from tests.test_atoms import Partition, partition
+from hypothesis import given, settings, strategies as st
+
+from tests.test_atoms import LAYOUTS, Partition, partition, pred_of_headers
 
 
 def prefix(engine, value, length):
@@ -344,10 +346,75 @@ def reference_refine(atom_set, p):
     return Partition(atoms, tuple(order), membership, next_id)
 
 
+def by_function(part):
+    """A partition with atom ids forgotten: atom predicates in order, and
+    each source's atoms as a set of predicates."""
+    preds = [part.atoms[i] for i in part.order]
+    return preds, {
+        handle: frozenset(part.atoms[i] for i in atoms.ids_of(bits))
+        for handle, bits in part.membership.items()
+    }
+
+
+def writer_ops(width):
+    """One update: add a header set, re-add or remove the k-th live source
+    (k modulo the live count), or remove it and add it back."""
+    full = (1 << (1 << width)) - 1
+    return st.one_of(
+        st.tuples(st.just("add"), st.integers(0, full)),
+        st.tuples(st.sampled_from(["readd", "remove", "remove+add"]), st.integers(0, 50)),
+    )
+
+
+@pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_writer_streams_equal_the_reference(layout, data):
+    """Random add/remove streams against reference_refine, exactly, after
+    every update; then two versions refined from the last one, and merge."""
+    engine = Engine(layout)
+    width = layout.total_width
+    full = (1 << (1 << width)) - 1
+    start = data.draw(st.lists(st.integers(1, full - 1), max_size=4))
+    aset = compute_atoms(engine, [pred_of_headers(engine, m) for m in start])
+    for op, arg in data.draw(st.lists(writer_ops(width), max_size=12)):
+        live = aset.sources
+        if op == "add" or not live:
+            steps = [("add", pred_of_headers(engine, arg if op == "add" else 0))]
+        else:
+            p = live[arg % len(live)]
+            steps = {"readd": [("add", p)], "remove": [("remove", p)],
+                     "remove+add": [("remove", p), ("add", p)]}[op]
+        for kind, p in steps:
+            if kind == "add":
+                expected = reference_refine(aset, p)
+                aset, _ = atoms.refine(aset, p)
+            else:
+                before = partition(aset)
+                expected = before._replace(membership={
+                    h: b for h, b in before.membership.items() if h != p.node})
+                aset = atoms.drop_source(aset, p)
+            assert partition(aset) == expected
+            assert len(aset) == len(expected.order)
+    for h in layout.all_headers():
+        assert aset.atom_of(h) == atom_of_header(aset, h)
+    # two versions refined from one parent share no new id, and each
+    # equals its own reference (the second one up to its ids)
+    p, q = (pred_of_headers(engine, data.draw(st.integers(0, full))) for _ in "pq")
+    want_a, want_b = reference_refine(aset, p), reference_refine(aset, q)
+    a, _ = atoms.refine(aset, p)
+    b, _ = atoms.refine(aset, q)
+    assert not (set(a.order) - set(aset.order)) & (set(b.order) - set(aset.order))
+    assert partition(a) == want_a
+    assert by_function(partition(b)) == by_function(want_b)
+    for version in (aset, a, b):
+        assert atoms.merge(version, version.sources) == compute_atoms(engine, version.sources)
+
+
 class CountedApplies:
     """Counts the engine's public BDD applies while it is installed."""
 
-    OPS = ("conj", "disj", "neg", "diff", "exists", "implies")
+    OPS = ("conj", "disj", "neg", "diff", "split", "exists", "implies")
 
     def __init__(self, engine, monkeypatch):
         self.calls = dict.fromkeys(self.OPS, 0)
@@ -376,10 +443,10 @@ class TestExactWriterPath:
                 before = len(tree.atom_set)
                 tree = add_predicate(tree, pred)
                 monkeypatch.undo()
-                # one conj and one diff per straddled atom, and nothing else
+                # one split per straddled atom, and nothing else
                 split = len(tree.atom_set) - before
                 assert applies.calls == dict(
-                    dict.fromkeys(CountedApplies.OPS, 0), conj=split, diff=split
+                    dict.fromkeys(CountedApplies.OPS, 0), split=split
                 )
                 assert partition(tree.atom_set) == expected
             else:
