@@ -13,7 +13,7 @@ import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 from . import atoms as atoms_mod
 from .atoms import AtomSet
@@ -61,15 +61,13 @@ class APTree:
 
 
 def build(
-    engine: Engine,
     atom_set: AtomSet,
-    preds: Sequence[Predicate],
     strategy: str = GREEDY,
     seed: int = 0,
     version: int = 0,
 ) -> APTree:
-    """Construct a pruned tree over the atom partition; preds are the atom
-    set's sources, in the order candidates are tried.
+    """Construct a pruned tree over the atom partition; the candidates are
+    the atom set's sources, tried in their order.
 
     At each node only predicates that split the reachable atom set are
     candidates (the rest can never matter below this point, which is what
@@ -77,6 +75,7 @@ def build(
     maximizing the smaller side of the split; ties go to the earlier
     predicate.
     """
+    engine, preds = atom_set.engine, atom_set.sources
     candidates = [(i, atom_set.member_bits(p)) for i, p in enumerate(preds)]
     if strategy == RANDOM:
         rng = random.Random(seed)
@@ -230,19 +229,22 @@ def remove_predicate(tree: APTree, p: Predicate) -> APTree:
 
 
 def rebuild(tree: APTree) -> APTree:
-    """Merge the cells into the atoms of the live predicates and grow a fresh
-    tree; the op cache then holds only the work of later updates."""
-    sources = tree.sources
+    """Recompute the atoms of the live predicates with compute_atoms and grow
+    a fresh tree over them; the op cache then holds only the work of later
+    updates."""
     fresh = build(
-        tree.engine,
-        atoms_mod.merge(tree.atom_set, sources),
-        sources,
+        atoms_mod.compute_atoms(tree.engine, tree.sources),
         strategy=tree.strategy,
         seed=tree.seed,
         version=tree.version + 1,
     )
     tree.engine.clear_cache()
     return fresh
+
+
+# a rebuild is due when the mean leaf depth passes this multiple of its
+# value after the last build
+DEPTH_RATIO = 1.5
 
 
 def _mean_depth(tree: APTree) -> float:
@@ -256,21 +258,16 @@ class PublishedClassifier:
     Readers grab the current tree with .tree and classify against it; the
     reference never mutates.  Updates are serialized through a lock and
     publish a new tree atomically.  A rebuild is triggered after enough
-    structural updates ("count") or when the average depth drifts past the
-    ratio ("depth"); .rebuilds records each rebuild's trigger, the number of
-    updates applied before it, and its service time.
+    structural updates ("count") or when the average depth drifts past
+    DEPTH_RATIO times its value after the last build ("depth"); .rebuilds
+    records each rebuild's trigger, the number of updates applied before
+    it, and its service time.
     """
 
-    def __init__(
-        self,
-        tree: APTree,
-        rebuild_after: int = 256,
-        depth_ratio: float = 1.5,
-    ):
+    def __init__(self, tree: APTree, rebuild_after: int = 256):
         self._lock = threading.Lock()
         self._tree = tree
         self.rebuild_after = rebuild_after
-        self.depth_ratio = depth_ratio
         self._baseline_depth = _mean_depth(tree)
         self.updates = 0
         self.rebuilds: list[dict] = []
@@ -282,9 +279,6 @@ class PublishedClassifier:
     @property
     def rebuild_count(self) -> int:
         return len(self.rebuilds)
-
-    def classify(self, h: Header) -> int:
-        return classify(self._tree, h)
 
     def add(self, p: Predicate) -> APTree:
         with self._lock:
@@ -305,7 +299,7 @@ class PublishedClassifier:
         self.updates += 1
         if t.structural_updates >= self.rebuild_after:
             return self._rebuild(t, "count")
-        if len(t.atom_set) > 1 and _mean_depth(t) > self._baseline_depth * self.depth_ratio:
+        if len(t.atom_set) > 1 and _mean_depth(t) > self._baseline_depth * DEPTH_RATIO:
             return self._rebuild(t, "depth")
         return t
 

@@ -301,41 +301,6 @@ def refine(atom_set: AtomSet, p: Predicate) -> tuple[AtomSet, dict[int, tuple[in
     return AtomSet(engine, line, members, log, index), splits
 
 
-def merge(atom_set: AtomSet, preds: Sequence[Predicate]) -> AtomSet:
-    """The atoms of preds, by merging the cells of a finer partition.
-
-    Every pred must be a source of atom_set or a constant.  Its
-    membership is exact, as refine and drop_source keep it, so each cell
-    lies in exactly one atom of preds: the atom of cells with the same
-    membership signature.  Equals
-    compute_atoms(engine, preds) -- ids, predicates, order and membership
-    -- at one disjunction per merged cell, without walking the preds'
-    BDDs.
-    """
-    engine = atom_set.engine
-    n = len(preds)
-    # signatures from the sources' bits as recorded, then handed down the
-    # split log, oldest split first, so no membership is replayed
-    members = atom_set.members
-    sig: dict[int, int] = {}
-    for k, p in enumerate(preds):
-        bit = _pred_bit(k, n)
-        bits = members[p.node] if p.node in members else atom_set.member_bits(p)
-        for i in ids_of(bits):
-            sig[i] = sig.get(i, 0) | bit
-    for i, ti, fi in reversed(atom_set.splits()):
-        if i in sig:
-            s = sig.pop(i)
-            sig[ti] = sig.get(ti, 0) | s
-            sig[fi] = sig.get(fi, 0) | s
-    groups: dict[int, Predicate] = {}
-    for i in atom_set.order:
-        g = sig.get(i, 0)
-        a = atom_set.pred_of(i)
-        groups[g] = engine.disj(groups[g], a) if g in groups else a
-    return _atom_set(engine, preds, groups)
-
-
 def drop_source(atom_set: AtomSet, p: Predicate) -> AtomSet:
     """Forget a source predicate's membership; the partition and its index
     are untouched."""

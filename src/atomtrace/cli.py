@@ -4,9 +4,9 @@ trace, update, labels, check.
 All input and output is line-delimited JSON; diagnostics go to stderr.
 Exit codes: 0 success, 1 usage or parse error, 2 divergence or invariant
 failure, 3 internal error.  A bad input line (malformed JSON, a missing
-key, an out-of-range field value, an unknown ingress or op, an added
-constant predicate) is a usage error: it stops the command with exit 1 and
-a message naming the line.
+key, an out-of-range field value, an unknown or malformed ingress, an
+unknown op, an added constant predicate) is a usage error: it stops the
+command with exit 1 and a message naming the line.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .behavior import BadIngress, identify
 from .label_plane import equivalence_check, serialize_tables
 from .model import SnapshotError, parse_snapshot, _parse_match
 from .pipeline import Pipeline, build_pipeline
-from .workload import WorkloadSpec, generate, snapshot_bytes, TUPLE5
+from .workload import InfeasibleSpec, WorkloadSpec, generate, snapshot_bytes, TUPLE5
 
 log = logging.getLogger("atomtrace")
 
@@ -64,6 +64,12 @@ def _parse_header(pipe: Pipeline, obj) -> Header:
     return pipe.snapshot.layout.header(obj)
 
 
+def _parse_ingress(obj) -> tuple[str, str]:
+    if not (isinstance(obj, list) and len(obj) == 2 and all(isinstance(x, str) for x in obj)):
+        raise TypeError(f"an ingress is a [box, port] pair of strings, not {obj!r}")
+    return obj[0], obj[1]
+
+
 def _resolve_update_pred(pipe: Pipeline, spec) -> Predicate:
     """An update names a predicate by rule/ACL reference or inline constraints."""
     engine = pipe.engine
@@ -91,7 +97,10 @@ def cmd_gen(args) -> int:
         update_count=args.update_count,
         header_samples=args.sample,
     )
-    doc, updates, headers = generate(spec)
+    try:
+        doc, updates, headers = generate(spec)
+    except InfeasibleSpec as e:
+        raise UsageError(f"gen: {e}")
     with open(args.out, "wb") as f:
         f.write(snapshot_bytes(doc))
     if args.updates_out:
@@ -184,7 +193,7 @@ def cmd_trace(args) -> int:
         try:
             obj = json.loads(line)
             h = _parse_header(pipe, obj["header"])
-            ingress = tuple(obj["ingress"])
+            ingress = _parse_ingress(obj["ingress"])
         except _BAD_INPUT as e:
             raise _bad_line(lineno, e) from e
         try:

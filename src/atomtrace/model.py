@@ -146,6 +146,18 @@ def _parse_match(objs, layout, where) -> tuple[FieldConstraint, ...]:
     return tuple(_parse_constraint(o, layout, where) for o in objs)
 
 
+def _objects(parent: dict, key: str, where: str) -> list[dict]:
+    """parent[key] as a list of JSON objects; absent means empty."""
+    items = parent.get(key, [])
+    if not isinstance(items, list) or not all(isinstance(o, dict) for o in items):
+        raise SnapshotSyntaxError(f"{where}: {key!r} must be a list of objects")
+    return items
+
+
+def _strings(items) -> bool:
+    return isinstance(items, list) and all(isinstance(x, str) for x in items)
+
+
 def parse_snapshot(document: Union[bytes, str, dict]) -> NetworkSnapshot:
     """Parse and validate the snapshot JSON document."""
     if isinstance(document, (bytes, str)):
@@ -167,7 +179,7 @@ def parse_snapshot(document: Union[bytes, str, dict]) -> NetworkSnapshot:
 
     boxes = []
     seen_boxes = set()
-    for bobj in doc.get("boxes", []):
+    for bobj in _objects(doc, "boxes", "snapshot"):
         bid = bobj.get("id")
         if not isinstance(bid, str) or not bid:
             raise SnapshotSyntaxError("box without a string id")
@@ -177,13 +189,16 @@ def parse_snapshot(document: Union[bytes, str, dict]) -> NetworkSnapshot:
         kind = bobj.get("kind", "switch")
         if kind not in ("switch", "firewall", "rewriter"):
             raise SnapshotSyntaxError(f"box {bid!r}: unknown kind {kind!r}")
-        ports = tuple(bobj.get("ports", []))
+        ports = bobj.get("ports", [])
+        if not _strings(ports):
+            raise SnapshotSyntaxError(f"box {bid!r}: ports must be a list of strings")
+        ports = tuple(ports)
         if len(set(ports)) != len(ports):
             raise DuplicatePort(f"box {bid!r}: duplicate port id")
 
         rules = []
         seen_prio = set()
-        for robj in bobj.get("rules", []):
+        for robj in _objects(bobj, "rules", f"box {bid!r}"):
             where = f"box {bid!r} rule"
             prio = robj.get("priority")
             if not _is_int(prio):
@@ -210,7 +225,7 @@ def parse_snapshot(document: Union[bytes, str, dict]) -> NetworkSnapshot:
 
         acls = []
         seen_attach = set()
-        for aobj in bobj.get("acls", []):
+        for aobj in _objects(bobj, "acls", f"box {bid!r}"):
             where = f"box {bid!r} acl"
             port = aobj.get("port")
             if port not in ports:
@@ -227,7 +242,7 @@ def parse_snapshot(document: Union[bytes, str, dict]) -> NetworkSnapshot:
             if default not in ("permit", "deny"):
                 raise SnapshotSyntaxError(f"{where}: bad default {default!r}")
             entries = []
-            for eobj in aobj.get("entries", []):
+            for eobj in _objects(aobj, "entries", where):
                 verdict = eobj.get("verdict")
                 if verdict not in ("permit", "deny"):
                     raise SnapshotSyntaxError(f"{where}: bad verdict {verdict!r}")
@@ -240,12 +255,16 @@ def parse_snapshot(document: Union[bytes, str, dict]) -> NetworkSnapshot:
         if "rewrite" in bobj and bobj["rewrite"] is not None:
             robj = bobj["rewrite"]
             where = f"box {bid!r} rewrite"
+            if not isinstance(robj, dict):
+                raise SnapshotSyntaxError(f"{where}: not an object")
             if kind != "rewriter":
                 raise SnapshotSyntaxError(f"{where}: rewrite on a non-rewriter box")
             sets = []
             seen_fields = set()
-            for sobj in robj.get("sets", []):
+            for sobj in _objects(robj, "sets", where):
                 fname = sobj.get("field")
+                if not isinstance(fname, str):
+                    raise SnapshotSyntaxError(f"{where}: bad field {fname!r}")
                 if fname in seen_fields:
                     raise SnapshotSyntaxError(f"{where}: field {fname!r} set twice")
                 seen_fields.add(fname)
@@ -266,8 +285,11 @@ def parse_snapshot(document: Union[bytes, str, dict]) -> NetworkSnapshot:
     links = []
     used_ports = set()
     bmap = {bx.id: bx for bx in boxes}
-    for lobj in doc.get("links", []):
-        if not (isinstance(lobj, list) and len(lobj) == 4):
+    links_in = doc.get("links", [])
+    if not isinstance(links_in, list):
+        raise SnapshotSyntaxError("snapshot: 'links' must be a list")
+    for lobj in links_in:
+        if not (_strings(lobj) and len(lobj) == 4):
             raise SnapshotSyntaxError(f"bad link {lobj!r}")
         a, pa, b, pb = lobj
         for end_box, end_port in ((a, pa), (b, pb)):

@@ -39,12 +39,13 @@ def close_over_rewrites(
     engine: Engine,
     snapshot: NetworkSnapshot,
     compiled: CompiledNetwork,
-) -> tuple[tuple[Predicate, ...], AtomSet, dict[str, dict[int, int]]]:
+) -> tuple[AtomSet, dict[str, dict[int, int]]]:
     """Grow the predicate set until all rewrite images are atom-contained.
 
-    Also returns, for every rewriter box, the {atom: image atom} table of
-    the round that converged.  Raises RuntimeError when an image straddles
-    atoms and no new preimage can split its source atom.
+    Returns the atoms of the grown set (their sources are that set) and, for
+    every rewriter box, the {atom: image atom} table of the round that
+    converged.  Raises RuntimeError when an image straddles atoms and no new
+    preimage can split its source atom.
     """
     sources = list(compiled.all_preds)
     known = {p.node for p in sources}
@@ -76,7 +77,7 @@ def close_over_rewrites(
                         sources.append(pre)
                         added = True
         if not straddled:
-            return tuple(sources), atom_set, rewrites
+            return atom_set, rewrites
         if not added:
             raise RuntimeError("a rewrite image straddles atoms its preimages do not split")
     raise RuntimeError("rewrite-image closure did not converge")
@@ -90,8 +91,8 @@ def build_pipeline(
 ) -> Pipeline:
     engine = engine or Engine(snapshot.layout)
     compiled = compile_network(snapshot, engine)
-    sources, atom_set, rewrites = close_over_rewrites(engine, snapshot, compiled)
-    tree = aptree.build(engine, atom_set, sources, strategy=strategy, seed=seed)
+    atom_set, rewrites = close_over_rewrites(engine, snapshot, compiled)
+    tree = aptree.build(atom_set, strategy=strategy, seed=seed)
     bmap = compile_behavior_map(compiled, atom_set, snapshot, rewrites)
     engine.clear_cache()
-    return Pipeline(snapshot, engine, compiled, sources, atom_set, tree, bmap)
+    return Pipeline(snapshot, engine, compiled, atom_set.sources, atom_set, tree, bmap)

@@ -48,6 +48,10 @@ def generate(spec: WorkloadSpec) -> tuple[dict, list[dict], list[dict]]:
     """
     if spec.box_count < 1:
         raise InfeasibleSpec("need at least one box")
+    for name in ("rules_per_box", "acls_per_box", "acl_entries", "prefix_len"):
+        lo, hi = getattr(spec, name)
+        if lo > hi:
+            raise InfeasibleSpec(f"{name} range ({lo}, {hi}) is empty")
     fwidth = spec.layout.field_width(spec.rule_field)
     if spec.prefix_len[1] > fwidth:
         raise InfeasibleSpec(

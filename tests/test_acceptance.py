@@ -175,8 +175,7 @@ def test_criterion_4_strategy_dominance(announce):
         greedy = float(aptree.avg_leaf_depth(pipe.tree))
         randoms = [
             float(aptree.avg_leaf_depth(
-                aptree.build(pipe.engine, pipe.atom_set, pipe.sources,
-                             strategy=aptree.RANDOM, seed=r)))
+                aptree.build(pipe.atom_set, strategy=aptree.RANDOM, seed=r)))
             for r in range(20)
         ]
         mean = statistics.mean(randoms)

@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import sys
@@ -100,6 +101,52 @@ class TestBasicCommands:
         assert cli.main(["frobnicate"]) == 1
 
 
+def _edit(doc, path, value):
+    """doc with the item at path (keys and indexes) replaced by value."""
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+def _rewriter(rewrite):
+    doc = _edit(TWO_BOX_DOC, ("boxes", 1, "kind"), "rewriter")
+    return _edit(doc, ("boxes", 1, "rewrite"), rewrite)
+
+
+# snapshots whose layout is valid but whose JSON types are wrong: each used
+# to raise a TypeError or AttributeError (exit 3)
+BAD_TYPES = {
+    "boxes-not-a-list": (_edit(TWO_BOX_DOC, ("boxes",), 5), "'boxes' must be a list"),
+    "box-not-an-object": (_edit(TWO_BOX_DOC, ("boxes", 1), 5), "'boxes' must be a list"),
+    "rule-not-an-object": (_edit(TWO_BOX_DOC, ("boxes", 0, "rules"), [5]),
+                           "box 's1': 'rules' must be a list of objects"),
+    "acl-not-an-object": (_edit(TWO_BOX_DOC, ("boxes", 0, "acls"), [5]),
+                          "box 's1': 'acls' must be a list of objects"),
+    "acl-entry-not-an-object": (
+        _edit(TWO_BOX_DOC, ("boxes", 0, "acls", 0, "entries"), ["deny"]),
+        "box 's1' acl: 'entries' must be a list of objects"),
+    "port-id-a-list": (_edit(TWO_BOX_DOC, ("boxes", 0, "ports"), [["ext"], "p1"]),
+                       "box 's1': ports must be a list of strings"),
+    "link-endpoint-a-list": (_edit(TWO_BOX_DOC, ("links", 0, 2), ["s2"]), "bad link"),
+    "rewrite-not-an-object": (_rewriter(5), "box 's2' rewrite: not an object"),
+    "rewrite-field-a-list": (_rewriter({"sets": [{"field": ["h"], "value": 1}]}),
+                             "box 's2' rewrite: bad field"),
+}
+
+
+@pytest.mark.parametrize("doc, message", BAD_TYPES.values(), ids=BAD_TYPES.keys())
+def test_snapshot_type_error_is_usage_error(capsys, tmp_path, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(doc_bytes(doc))
+    code, _, err = run(capsys, "compile", "--snapshot", str(path))
+    assert code == 1
+    assert message in err
+
+
 class TestGenAndUpdate:
     def test_gen_writes_files(self, capsys, tmp_path):
         out_path = tmp_path / "snap.json"
@@ -120,6 +167,16 @@ class TestGenAndUpdate:
         run(capsys, "gen", "--seed", "7", "--out", str(a))
         run(capsys, "gen", "--seed", "7", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--boxes", "need at least one box"),
+        ("--rules", "rules_per_box range (1, 0) is empty"),
+    ])
+    def test_gen_zero_count_is_usage_error(self, capsys, tmp_path, flag, message):
+        code, out, err = run(capsys, "gen", flag, "0", "--out", str(tmp_path / "s.json"))
+        assert code == 1
+        assert out == ""
+        assert message in err
 
     def test_update_stream(self, capsys, tmp_path):
         snap = tmp_path / "snap.json"
@@ -194,6 +251,16 @@ class TestBadInputLines:
         assert code == 1
         assert len(out.strip().splitlines()) == 1
         assert "line 2" in err and "BadIngress" in err
+
+    @pytest.mark.parametrize("ingress", [["s1", ["ext"]], [["s1"], "ext"]])
+    def test_trace_malformed_ingress(self, capsys, snapshot_file, monkeypatch, ingress):
+        self.stdin(monkeypatch,
+                   '{"header": {"h": 10}, "ingress": ["s1", "ext"]}\n'
+                   + json.dumps({"header": {"h": 10}, "ingress": ingress}) + "\n")
+        code, out, err = run(capsys, "trace", "--snapshot", snapshot_file)
+        assert code == 1
+        assert len(out.strip().splitlines()) == 1
+        assert "line 2" in err and "[box, port] pair of strings" in err
 
     def test_trace_missing_header(self, capsys, snapshot_file, monkeypatch):
         self.stdin(monkeypatch, '\n{"ingress": ["s1", "ext"]}\n')

@@ -421,7 +421,7 @@ class TestClosureTables:
         snap = parse_snapshot(doc_bytes(nat_doc(acl_entry)))
         engine = Engine(snap.layout)
         compiled = compile_network(snap, engine)
-        _, aset, rewrites = pipeline.close_over_rewrites(engine, snap, compiled)
+        aset, rewrites = pipeline.close_over_rewrites(engine, snap, compiled)
         rewriters = [b.id for b in snap.boxes if b.rewrite is not None]
         assert list(rewrites) == rewriters
         for box in rewriters:

@@ -43,7 +43,7 @@ def three_atoms(small_engine):
 class TestBuild:
     def test_greedy_shape_on_three_atoms(self, three_atoms):
         engine, preds, aset = three_atoms
-        tree = build(engine, aset, preds)
+        tree = build(aset)
         # root tests 1*** (tie broken by lower index); its true child splits
         # on 10**; false child is the 0*** leaf
         assert isinstance(tree.root, Internal)
@@ -57,7 +57,7 @@ class TestBuild:
     def test_single_split(self, small_engine):
         p = prefix(small_engine, 8, 1)
         aset = compute_atoms(small_engine, [p])
-        tree = build(small_engine, aset, [p])
+        tree = build(aset)
         assert isinstance(tree.root, Internal)
         assert isinstance(tree.root.true_child, Leaf)
         assert isinstance(tree.root.false_child, Leaf)
@@ -65,7 +65,7 @@ class TestBuild:
 
     def test_degenerate_single_leaf(self, small_engine):
         aset = compute_atoms(small_engine, [])
-        tree = build(small_engine, aset, [])
+        tree = build(aset)
         assert isinstance(tree.root, Leaf)
         assert avg_leaf_depth(tree) == 0
 
@@ -76,7 +76,7 @@ class TestBuild:
             engine.match(FieldConstraint.exact(f, 1)) for f in ("a", "b", "c")
         ]
         aset = compute_atoms(engine, preds)
-        tree = build(engine, aset, preds)
+        tree = build(aset)
         assert len(aset) == 8
         assert avg_leaf_depth(tree) == 3
 
@@ -84,14 +84,14 @@ class TestBuild:
         # p2 subset of p1: the 0*** subtree never needs to test p2
         p1, p2 = prefix(small_engine, 8, 1), prefix(small_engine, 8, 2)
         aset = compute_atoms(small_engine, [p1, p2])
-        tree = build(small_engine, aset, [p1, p2], strategy="order")
+        tree = build(aset, strategy="order")
         assert isinstance(tree.root.false_child, Leaf)
 
 
 class TestClassify:
     def test_three_atom_walks(self, three_atoms):
         engine, preds, aset = three_atoms
-        tree = build(engine, aset, preds)
+        tree = build(aset)
         h = engine.layout.header_from_int(0b1010)
         assert classify(tree, h) == atom_of_header(aset, h)
         assert engine.sat_count(aset.pred_of(classify(tree, h))) == 4
@@ -100,14 +100,14 @@ class TestClassify:
 
     def test_single_leaf_any_header(self, small_engine):
         aset = compute_atoms(small_engine, [])
-        tree = build(small_engine, aset, [])
+        tree = build(aset)
         for v in range(16):
             assert classify(tree, small_engine.layout.header_from_int(v)) == aset.order[0]
 
     def test_oracle_agreement_exhaustive(self, three_atoms):
         engine, preds, aset = three_atoms
         for strategy in (GREEDY, "order", RANDOM):
-            tree = build(engine, aset, preds, strategy=strategy, seed=5)
+            tree = build(aset, strategy=strategy, seed=5)
             for h in engine.layout.all_headers():
                 assert classify(tree, h) == atom_of_header(aset, h)
 
@@ -136,7 +136,7 @@ class TestInvariants:
             length = rng.randint(1, 3)
             preds.append(prefix(engine, rng.getrandbits(4), length))
         aset = compute_atoms(engine, preds)
-        return build(engine, aset, preds), preds
+        return build(aset), preds
 
     def test_path_soundness(self, small_engine):
         tree, _ = self.make_tree(small_engine)
@@ -149,11 +149,11 @@ class TestInvariants:
             assert not small_engine.is_false(conj)
 
     def test_strategy_dominance_directional(self, small_engine):
-        tree, preds = self.make_tree(small_engine, n_preds=8, seed=3)
+        tree, _ = self.make_tree(small_engine, n_preds=8, seed=3)
         greedy_depth = avg_leaf_depth(tree)
         depths = []
         for seed in range(20):
-            t = build(small_engine, tree.atom_set, preds, strategy=RANDOM, seed=seed)
+            t = build(tree.atom_set, strategy=RANDOM, seed=seed)
             depths.append(avg_leaf_depth(t))
         assert greedy_depth <= sum(depths) / len(depths)
 
@@ -161,7 +161,7 @@ class TestInvariants:
 class TestUpdates:
     def test_add_splits_straddled_leaves(self, three_atoms):
         engine, preds, aset = three_atoms
-        tree = build(engine, aset, preds)
+        tree = build(aset)
         depths_before = dict(aptree.leaves(tree))
         # bit1 = 1: {2,3,6,7,10,11,14,15}, straddles all three atoms
         p3 = engine.match(FieldConstraint.range_("h", 2, 3)) \
@@ -182,14 +182,14 @@ class TestUpdates:
 
     def test_add_duplicate_is_structural_noop(self, three_atoms):
         engine, preds, aset = three_atoms
-        tree = build(engine, aset, preds)
+        tree = build(aset)
         t2 = add_predicate(tree, preds[1])
         assert t2.root is tree.root
         assert t2.atom_set.members_of(preds[1]) == aset.members_of(preds[1])
 
     def test_add_splits_only_straddled_leaves(self, three_atoms):
         engine, preds, aset = three_atoms
-        tree = build(engine, aset, preds)
+        tree = build(aset)
         # 100*: inside 10**, disjoint from 11** and 0***
         p3 = prefix(engine, 0b1000, 3)
         t2 = add_predicate(tree, p3)
@@ -199,7 +199,7 @@ class TestUpdates:
 
     def test_remove_keeps_classification(self, three_atoms):
         engine, preds, aset = three_atoms
-        tree = build(engine, aset, preds)
+        tree = build(aset)
         t2 = remove_predicate(tree, preds[1])
         for v in (0b1010, 0b1000):
             h = engine.layout.header_from_int(v)
@@ -215,7 +215,7 @@ class TestUpdates:
 
     def test_remove_then_readd_unchanged(self, three_atoms):
         engine, preds, aset = three_atoms
-        tree = build(engine, aset, preds)
+        tree = build(aset)
         t2 = add_predicate(remove_predicate(tree, preds[1]), preds[1])
         for h in engine.layout.all_headers():
             assert classify(t2, h) == classify(tree, h)
@@ -223,7 +223,7 @@ class TestUpdates:
     def test_remove_last_predicate(self, small_engine):
         p = prefix(small_engine, 8, 1)
         aset = compute_atoms(small_engine, [p])
-        tree = build(small_engine, aset, [p])
+        tree = build(aset)
         t2 = remove_predicate(tree, p)
         assert t2.sources == ()
         fresh = compute_atoms(small_engine, [])
@@ -232,13 +232,13 @@ class TestUpdates:
 
     def test_remove_unknown(self, three_atoms):
         engine, preds, aset = three_atoms
-        tree = build(engine, aset, preds)
+        tree = build(aset)
         with pytest.raises(UnknownPredicate):
             remove_predicate(tree, prefix(engine, 0, 4))
 
     def test_add_constant_rejected(self, three_atoms):
         engine, preds, _ = three_atoms
-        tree = build(engine, compute_atoms(engine, preds), preds)
+        tree = build(compute_atoms(engine, preds))
         with pytest.raises(ValueError):
             add_predicate(tree, engine.true_)
 
@@ -246,7 +246,7 @@ class TestUpdates:
 class TestRebuild:
     def test_fixpoint_after_zero_updates(self, three_atoms):
         engine, preds, aset = three_atoms
-        tree = build(engine, aset, preds)
+        tree = build(aset)
         t2 = rebuild(tree)
         assert t2.version == tree.version + 1
         assert avg_leaf_depth(t2) == avg_leaf_depth(tree)
@@ -259,7 +259,7 @@ class TestRebuild:
         preds = [prefix(small_engine, rng.getrandbits(4), rng.randint(1, 3))
                  for _ in range(3)]
         aset = compute_atoms(small_engine, preds)
-        tree = build(small_engine, aset, preds)
+        tree = build(aset)
         for _ in range(6):
             p = prefix(small_engine, rng.getrandbits(4), rng.randint(1, 4))
             tree = add_predicate(tree, p)
@@ -268,7 +268,7 @@ class TestRebuild:
 
     def test_rebuild_after_removal_coarsens(self, three_atoms):
         engine, preds, aset = three_atoms
-        tree = build(engine, aset, preds)
+        tree = build(aset)
         t2 = rebuild(remove_predicate(tree, preds[1]))
         assert len(t2.atom_set) <= len(tree.atom_set)
 
@@ -276,7 +276,7 @@ class TestRebuild:
         rng = random.Random(23)
         preds = [prefix(small_engine, rng.getrandbits(4), rng.randint(1, 3))
                  for _ in range(4)]
-        tree = build(small_engine, compute_atoms(small_engine, preds), preds)
+        tree = build(compute_atoms(small_engine, preds))
         live = list(preds)
         for _ in range(20):
             if live and rng.random() < 0.4:
@@ -371,7 +371,7 @@ def writer_ops(width):
 @given(data=st.data())
 def test_writer_streams_equal_the_reference(layout, data):
     """Random add/remove streams against reference_refine, exactly, after
-    every update; then two versions refined from the last one, and merge."""
+    every update; then two versions refined from the last one."""
     engine = Engine(layout)
     width = layout.total_width
     full = (1 << (1 << width)) - 1
@@ -407,8 +407,6 @@ def test_writer_streams_equal_the_reference(layout, data):
     assert not (set(a.order) - set(aset.order)) & (set(b.order) - set(aset.order))
     assert partition(a) == want_a
     assert by_function(partition(b)) == by_function(want_b)
-    for version in (aset, a, b):
-        assert atoms.merge(version, version.sources) == compute_atoms(engine, version.sources)
 
 
 class CountedApplies:
@@ -429,7 +427,7 @@ class CountedApplies:
 
 
 class TestExactWriterPath:
-    """The index-guided add and the merge rebuild against their references:
+    """The index-guided add and the rebuild against their references:
     refinement by every atom, compute_atoms, and the leaf walk."""
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -458,9 +456,14 @@ class TestExactWriterPath:
                 assert rebuilt.atom_set == fresh
                 assert rebuilt.depth_sum == sum(d for _, d in aptree.leaves(rebuilt))
 
-    def test_merge_without_sources_is_one_atom(self, three_atoms):
+    def test_rebuild_without_sources_is_one_atom(self, three_atoms):
         engine, preds, aset = three_atoms
-        assert atoms.merge(aset, []) == compute_atoms(engine, [])
+        tree = build(aset)
+        for p in preds:
+            tree = remove_predicate(tree, p)
+        rebuilt = rebuild(tree)
+        assert rebuilt.atom_set == compute_atoms(engine, [])
+        assert rebuilt.root == Leaf(rebuilt.atom_set.order[0])
 
 
 class TestAtomIndex:
@@ -527,7 +530,7 @@ class TestOpCacheLifetime:
 class TestPublishedClassifier:
     def test_publication_and_rebuild_trigger(self, three_atoms):
         engine, preds, aset = three_atoms
-        pc = PublishedClassifier(build(engine, aset, preds), rebuild_after=3)
+        pc = PublishedClassifier(build(aset), rebuild_after=3)
         v0 = pc.tree.version
         rng = random.Random(1)
         for _ in range(3):
@@ -544,7 +547,7 @@ class TestPublishedClassifier:
     def test_depth_trigger(self, small_engine):
         p = prefix(small_engine, 8, 1)
         pc = PublishedClassifier(
-            build(small_engine, compute_atoms(small_engine, [p]), [p])
+            build(compute_atoms(small_engine, [p]))
         )
         # 11** splits the 1*** leaf: average depth 1 -> 5/3, past 1.5x
         pc.add(prefix(small_engine, 12, 2))
@@ -558,7 +561,7 @@ class TestPublishedClassifier:
 
         monkeypatch.setattr(sys, "setswitchinterval", refuse)
         engine, preds, aset = three_atoms
-        pc = PublishedClassifier(build(engine, aset, preds))
+        pc = PublishedClassifier(build(aset))
         p3 = prefix(engine, 0b1000, 3)
         pc.add(p3)
         pc.remove(p3)
@@ -569,7 +572,7 @@ class TestPublishedClassifier:
         import threading
 
         engine, preds, aset = three_atoms
-        pc = PublishedClassifier(build(engine, aset, preds), rebuild_after=4)
+        pc = PublishedClassifier(build(aset), rebuild_after=4)
         errors = []
         stop = threading.Event()
 

@@ -60,6 +60,9 @@ class TestGenerate:
         with pytest.raises(InfeasibleSpec):
             generate(WorkloadSpec(layout=HeaderLayout((("h", 4),)),
                                   rule_field="h", prefix_len=(1, 8)))
+        for name in ("rules_per_box", "acls_per_box", "acl_entries", "prefix_len"):
+            with pytest.raises(InfeasibleSpec, match=f"{name} range .* is empty"):
+                generate(WorkloadSpec(**{name: (2, 1)}))
 
     def test_update_stream_removes_only_live(self):
         _, updates, _ = generate(WorkloadSpec(seed=9, update_count=200, add_ratio=0.5))
