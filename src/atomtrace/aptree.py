@@ -45,7 +45,6 @@ RANDOM = "random"
 
 @dataclass(frozen=True)
 class APTree:
-    engine: Engine
     root: Node
     atom_set: AtomSet
     depth_sum: int  # sum of leaf depths (one leaf per atom), for the drift check
@@ -53,6 +52,10 @@ class APTree:
     structural_updates: int = 0
     strategy: str = GREEDY
     seed: int = 0
+
+    @property
+    def engine(self) -> Engine:
+        return self.atom_set.engine
 
     @property
     def sources(self) -> tuple[Predicate, ...]:
@@ -117,7 +120,6 @@ def build(
 
     root = grow(atom_set.member_bits(engine.true_), candidates, 0)
     return APTree(
-        engine=engine,
         root=root,
         atom_set=atom_set,
         depth_sum=depth_sum,
@@ -212,7 +214,7 @@ def add_predicate(tree: APTree, p: Predicate) -> APTree:
 
         root = rewrite(root, 0)
     return APTree(
-        engine, root, atom_set, depth_sum, tree.version,
+        root, atom_set, depth_sum, tree.version,
         tree.structural_updates + 1, tree.strategy, tree.seed,
     )
 
@@ -222,7 +224,7 @@ def remove_predicate(tree: APTree, p: Predicate) -> APTree:
     because every cell is still contained in one atom of the remaining set.
     Raises UnknownPredicate when p is not live."""
     return APTree(
-        tree.engine, tree.root, atoms_mod.drop_source(tree.atom_set, p),
+        tree.root, atoms_mod.drop_source(tree.atom_set, p),
         tree.depth_sum, tree.version, tree.structural_updates + 1,
         tree.strategy, tree.seed,
     )

@@ -9,7 +9,7 @@ most-significant bit first within each field.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Hashable, Iterable, Optional, Sequence
 
 
 class InvalidLayout(ValueError):
@@ -188,8 +188,9 @@ TRUE = 1
 class Engine:
     """Shared node store plus the predicate algebra over one header layout.
 
-    Construction ops (match/conj/disj/neg/exists) mutate internal tables and
-    need exclusive access; eval and query on built predicates are read-only.
+    Construction ops (match, the boolean ops, split, first_match, exists,
+    restrict) mutate internal tables and need exclusive access; eval and
+    query on built predicates are read-only.
     """
 
     def __init__(self, layout: HeaderLayout):
@@ -248,44 +249,67 @@ class Engine:
     # -- rule-match construction ----------------------------------------
 
     def match(self, c: FieldConstraint) -> Predicate:
+        return self.match_all((c,))
+
+    def match_all(self, constraints: Iterable[FieldConstraint]) -> Predicate:
+        """Conjunction of constraints; empty list matches everything.
+
+        Every constraint kind is an interval of its field's values, so the
+        conjunction is one interval per field.  The BDD is built from the
+        last field up, each field's interval above the fields below it, so
+        it creates only the result's own nodes and no op-cache entries.
+        """
+        spans: dict[str, tuple[int, int]] = {}
+        for c in constraints:
+            lo, hi = self._interval(c)
+            if c.field in spans:
+                lo0, hi0 = spans[c.field]
+                lo, hi = max(lo, lo0), min(hi, hi0)
+            spans[c.field] = (lo, hi)
+        node = TRUE
+        for name in sorted(spans, key=self.layout.field_offset, reverse=True):
+            lo, hi = spans[name]
+            if lo > hi:
+                return self.false_
+            off, width, _ = self.layout._field(name)
+            node = self._span(off, width, lo, hi, node)
+        return self._wrap(node)
+
+    def _interval(self, c: FieldConstraint) -> tuple[int, int]:
+        """The values [lo, hi] of c's field that c matches."""
         width = self.layout.field_width(c.field)
-        off = self.layout.field_offset(c.field)
         if c.kind == "exact":
             if c.value is None or not 0 <= c.value < (1 << width):
                 raise ValueOutOfRange(f"exact value {c.value} vs width {width}")
-            return self._wrap(self._cube(off, c.value, width, width))
+            return c.value, c.value
         if c.kind == "prefix":
             if c.length is None or not 0 <= c.length <= width:
                 raise ValueOutOfRange(f"prefix length {c.length} vs width {width}")
             if c.value is None or not 0 <= c.value < (1 << width):
                 raise ValueOutOfRange(f"prefix value {c.value} vs width {width}")
-            top = c.value >> (width - c.length) if c.length else 0
-            return self._wrap(self._cube(off, top, c.length, c.length))
+            free = width - c.length
+            lo = c.value >> free << free
+            return lo, lo | ((1 << free) - 1)
         if c.kind == "range":
             if c.lo is None or c.hi is None or not 0 <= c.lo <= c.hi < (1 << width):
                 raise ValueOutOfRange(f"range [{c.lo},{c.hi}] vs width {width}")
-            acc = FALSE
-            for val, plen in _range_prefixes(c.lo, c.hi, width):
-                top = val >> (width - plen) if plen else 0
-                acc = self._or(acc, self._cube(off, top, plen, plen))
-            return self._wrap(acc)
+            return c.lo, c.hi
         raise ValueOutOfRange(f"unknown constraint kind {c.kind!r}")
 
-    def match_all(self, constraints: Iterable[FieldConstraint]) -> Predicate:
-        """Conjunction of constraints; empty list matches everything."""
-        p = self.true_
-        for c in constraints:
-            p = self.conj(p, self.match(c))
-        return p
-
-    def _cube(self, offset: int, topbits: int, nbits: int, shift: int) -> int:
-        # chain of literals for bits offset..offset+nbits-1, MSB first
-        node = TRUE
-        for i in range(nbits - 1, -1, -1):
-            bit = (topbits >> (shift - 1 - i)) & 1
-            var = offset + i
-            node = self._mk(var, FALSE, node) if bit else self._mk(var, node, FALSE)
-        return node
+    def _span(self, off: int, width: int, lo: int, hi: int, tail: int) -> int:
+        """Headers whose width bits from variable off hold a value in
+        [lo, hi] and that satisfy tail, which tests only later variables.
+        Each level splits the interval at its middle, and only the halves
+        that hold an end of it recurse, so the walk is two chains."""
+        if lo == 0 and hi == (1 << width) - 1:
+            return tail
+        half = 1 << (width - 1)
+        low = self._span(off + 1, width - 1, lo, min(hi, half - 1), tail) if lo < half else FALSE
+        high = (
+            self._span(off + 1, width - 1, max(lo, half) - half, hi - half, tail)
+            if hi >= half else FALSE
+        )
+        return self._mk(off, low, high)
 
     # -- boolean algebra -------------------------------------------------
 
@@ -336,6 +360,59 @@ class Engine:
 
         t, f = go(a.node, p.node)
         return self._wrap(t), self._wrap(f)
+
+    def first_match(self, entries: Sequence[tuple[Hashable, Predicate]]) -> dict:
+        """{action: the headers on which an entry with that action is the
+        first of entries to match}, for (action, predicate) entries in
+        priority order.  An entry whose action is None only shadows the
+        entries after it; no action whose entries never come first is in
+        the result.
+
+        One memoised recursion over all the entries' BDDs, as in
+        atoms.compute_atoms: won(vec) walks the entries still undecided --
+        vec holds their (action, node) pairs, in order -- splitting all of
+        them at their lowest top variable.  A node that reaches true ends
+        the vec there, one that reaches false drops out, and so do the
+        None entries at its end.  It returns {action: node} for the headers
+        below, joined over the two sides by one node each, so the call
+        creates only its results' nodes and no op-cache entries.
+        """
+        self._check(*(p for _, p in entries))
+        var, lo, hi, mk = self._var, self._lo, self._hi, self._mk
+        memo: dict[tuple[tuple[Hashable, int], ...], dict] = {(): {}}
+
+        def side(vec, v, branch):
+            rest = []
+            for a, n in vec:
+                if var[n] == v:
+                    n = branch[n]
+                if n != FALSE:
+                    rest.append((a, n))
+                    if n == TRUE:
+                        break
+            while rest and rest[-1][0] is None:
+                rest.pop()
+            return won(tuple(rest))
+
+        def won(vec):
+            out = memo.get(vec)
+            if out is None:
+                if len(vec) == 1:
+                    out = dict(vec)
+                else:
+                    v = min(var[n] for _, n in vec)
+                    off, on = side(vec, v, lo), side(vec, v, hi)
+                    out = {a: mk(v, c, on.get(a, FALSE)) for a, c in off.items()}
+                    for a, c in on.items():
+                        if a not in off:
+                            out[a] = mk(v, FALSE, c)
+                memo[vec] = out
+            return out
+
+        # at the terminals' sentinel variable only true and false split,
+        # each to itself: this sorts out the constant entries
+        found = side([(a, p.node) for a, p in entries], self.width, lo)
+        return {a: Predicate(self, n) for a, n in found.items()}
 
     def _and(self, a: int, b: int) -> int:
         if a == FALSE or b == FALSE:
@@ -402,10 +479,14 @@ class Engine:
         for name in fields:
             off = self.layout.field_offset(name)
             vars_.extend(range(off, off + self.layout.field_width(name)))
+        if not vars_:
+            return p
         return self._wrap(self._exists(p.node, frozenset(vars_), tuple(sorted(vars_))))
 
     def _exists(self, n: int, vars_: frozenset, token: tuple) -> int:
-        if n <= TRUE:
+        # a node below every quantified variable (terminals included) is
+        # its own projection
+        if self._var[n] > token[-1]:
             return n
         key = ("ex", n, token)
         r = self._cache.get(key)
@@ -419,6 +500,43 @@ class Engine:
             r = self._mk(self._var[n], lo, hi)
         self._cache[key] = r
         return r
+
+    def restrict(self, p: Predicate, sets: Iterable[tuple[str, int]]) -> Predicate:
+        """p with the named fields fixed to constants: true on h iff p holds
+        on h with those fields overwritten by their values.
+
+        One walk with a memo of its own: it creates only the result's
+        nodes, no op-cache entries, and returns a node as it is once its
+        variable is below every fixed one.
+        """
+        self._check(p)
+        fixed: dict[int, int] = {}
+        for name, value in sets:
+            off, width, _ = self.layout._field(name)
+            if not 0 <= value < (1 << width):
+                raise ValueOutOfRange(f"{name}={value} does not fit {width} bits")
+            for i, bit in enumerate(int_bits(value, width)):
+                fixed[off + i] = bit
+        if not fixed:
+            return p
+        last = max(fixed)
+        var, lo, hi, mk = self._var, self._lo, self._hi, self._mk
+        memo: dict[int, int] = {}
+
+        def go(n: int) -> int:
+            if var[n] > last:
+                return n
+            r = memo.get(n)
+            if r is None:
+                bit = fixed.get(var[n])
+                if bit is None:
+                    r = mk(var[n], go(lo[n]), go(hi[n]))
+                else:
+                    r = go(hi[n] if bit else lo[n])
+                memo[n] = r
+            return r
+
+        return self._wrap(go(p.node))
 
     # -- evaluation and queries --------------------------------------------
 
@@ -479,16 +597,3 @@ class Engine:
             )
             self._count[n] = r
         return r
-
-
-def _range_prefixes(lo: int, hi: int, width: int) -> list[tuple[int, int]]:
-    """Decompose [lo, hi] into maximal aligned prefixes as (value, length)."""
-    out = []
-    while lo <= hi:
-        step = lo & -lo if lo else 1 << width
-        while step > hi - lo + 1:
-            step >>= 1
-        out.append((lo, width - step.bit_length() + 1))
-        lo += step
-    return out
-

@@ -101,18 +101,21 @@ def cmd_gen(args) -> int:
         doc, updates, headers = generate(spec)
     except InfeasibleSpec as e:
         raise UsageError(f"gen: {e}")
-    with open(args.out, "wb") as f:
-        f.write(snapshot_bytes(doc))
+    _write(args.out, snapshot_bytes(doc))
     if args.updates_out:
-        with open(args.updates_out, "w") as f:
-            for u in updates:
-                f.write(json.dumps(u) + "\n")
+        _write(args.updates_out, "".join(json.dumps(u) + "\n" for u in updates).encode())
     if args.headers_out:
-        with open(args.headers_out, "w") as f:
-            for h in headers:
-                f.write(json.dumps(h) + "\n")
+        _write(args.headers_out, "".join(json.dumps(h) + "\n" for h in headers).encode())
     print(json.dumps({"snapshot": args.out, "updates": len(updates), "headers": len(headers)}))
     return 0
+
+
+def _write(path: str, data: bytes) -> None:
+    try:
+        with open(path, "wb") as f:
+            f.write(data)
+    except OSError as e:
+        raise UsageError(f"cannot write {path!r}: {e}")
 
 
 def cmd_compile(args) -> int:
@@ -128,6 +131,7 @@ def cmd_compile(args) -> int:
                 "boxes": len(pipe.snapshot.boxes),
                 "predicates": len(pipe.compiled.all_preds),
                 "port_sat_counts": ports,
+                "bdd_nodes": len(engine._var),
             }
         )
     )
@@ -210,7 +214,11 @@ def cmd_update(args) -> int:
         pipe.tree, rebuild_after=args.rebuild_threshold
     )
     latencies = []
-    with open(args.updates) as f:
+    try:
+        f = open(args.updates)
+    except OSError as e:
+        raise UsageError(f"cannot read updates {args.updates!r}: {e}")
+    with f:
         for lineno, line in enumerate(f, 1):
             if not line.strip():
                 continue

@@ -311,6 +311,16 @@ def parse_snapshot(document: Union[bytes, str, dict]) -> NetworkSnapshot:
 
 AclKey = tuple[str, str, str]  # (box, port, dir)
 
+# a box's first-match action for its drop rules: unlike None, which only
+# shadows, it has a result, and no port name equals it
+_DROP = object()
+
+
+def _permit(verdict: str) -> Optional[bool]:
+    """An ACL verdict as a first-match action: permits have a result, and
+    denies only shadow."""
+    return True if verdict == "permit" else None
+
 
 @dataclass(frozen=True)
 class CompiledNetwork:
@@ -327,10 +337,12 @@ class CompiledNetwork:
 def compile_network(snapshot: NetworkSnapshot, engine: Engine) -> CompiledNetwork:
     """Compile forwarding rules and ACLs into canonical predicates.
 
-    Port predicate = union over forwarding rules to that port of the rule
-    match minus all strictly higher-priority matches, so at most one port
-    predicate is true for any header.  ACL predicates fold entries in
-    first-match order down to the default verdict.
+    A box's port and drop predicates come from one Engine.first_match over
+    its rules, highest priority first: each rule's headers minus those of
+    every higher rule, joined per out port, so at most one port predicate
+    is true for any header.  An ACL's permitted set comes from one over its
+    entries and then its default.  Each call creates only the nodes of its
+    results, and no op-cache entries.
     """
     if snapshot.layout != engine.layout:
         raise EngineMismatch("snapshot layout differs from engine layout")
@@ -340,39 +352,30 @@ def compile_network(snapshot: NetworkSnapshot, engine: Engine) -> CompiledNetwor
     acl_preds: dict[AclKey, Predicate] = {}
     rewrite_match: dict[str, Predicate] = {}
     ordered: list[Predicate] = []
+    false = engine.false_
 
     for box in sorted(snapshot.boxes, key=lambda b: b.id):
+        won = engine.first_match([
+            (_DROP if rule.out_port is None else rule.out_port, engine.match_all(rule.match))
+            for rule in sorted(box.rules, key=lambda r: -r.priority)
+        ])
         for port in box.ports:
-            port_preds[(box.id, port)] = engine.false_
-        drop = engine.false_
-        higher = engine.false_
-        for rule in sorted(box.rules, key=lambda r: -r.priority):
-            m = engine.match_all(rule.match)
-            fires = engine.diff(m, higher)
-            higher = engine.disj(higher, m)
-            if rule.out_port is None:
-                drop = engine.disj(drop, fires)
-            else:
-                key = (box.id, rule.out_port)
-                port_preds[key] = engine.disj(port_preds[key], fires)
-        drop_preds[box.id] = drop
+            port_preds[(box.id, port)] = won.get(port, false)
+        drop_preds[box.id] = won.get(_DROP, false)
 
         for port in sorted(box.ports):
             ordered.append(port_preds[(box.id, port)])
-        ordered.append(drop)
+        ordered.append(drop_preds[box.id])
 
         if box.rewrite is not None:
             rewrite_match[box.id] = engine.match_all(box.rewrite.match)
             ordered.append(rewrite_match[box.id])
 
         for acl in sorted(box.acls, key=lambda a: (a.port, a.direction)):
-            permitted = engine.true_ if acl.default == "permit" else engine.false_
-            for entry in reversed(acl.entries):
-                m = engine.match_all(entry.match)
-                if entry.verdict == "permit":
-                    permitted = engine.disj(m, engine.diff(permitted, m))
-                else:
-                    permitted = engine.diff(permitted, m)
+            # deny entries only shadow, so the denied set is never built
+            entries = [(_permit(e.verdict), engine.match_all(e.match)) for e in acl.entries]
+            entries.append((_permit(acl.default), engine.true_))
+            permitted = engine.first_match(entries).get(True, false)
             acl_preds[(box.id, acl.port, acl.direction)] = permitted
             ordered.append(permitted)
 

@@ -122,6 +122,27 @@ REWRITE_DOC = {
 }
 
 
+def live_nodes(engine, roots) -> set[int]:
+    """The BDD nodes reachable from the root nodes."""
+    seen, stack = set(), list(roots)
+    while stack:
+        n = stack.pop()
+        if n not in seen:
+            seen.add(n)
+            if n > 1:
+                stack += [engine._lo[n], engine._hi[n]]
+    return seen
+
+
+def match_nodes(snapshot, engine) -> list[int]:
+    """The root nodes of every rule's and every ACL entry's match."""
+    return [
+        engine.match_all(x.match).node
+        for box in snapshot.boxes
+        for x in box.rules + tuple(e for acl in box.acls for e in acl.entries)
+    ]
+
+
 def doc_bytes(doc) -> bytes:
     return json.dumps(doc).encode()
 

@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from tests.conftest import live_nodes
+
 from atomtrace.bdd import (
     Engine,
     FieldConstraint,
@@ -10,7 +12,6 @@ from atomtrace.bdd import (
     UnknownField,
     ValueOutOfRange,
     Header,
-    _range_prefixes,
 )
 
 
@@ -79,16 +80,40 @@ class TestMatch:
         p = small_engine.match(FieldConstraint.range_("h", lo, hi))
         assert brute_set(small_engine, p) == set(range(lo, hi + 1))
 
-    def test_range_prefix_decomposition_bounded(self):
+    def test_range_nodes_bounded(self):
+        # a range's BDD is the two chains that track its ends
+        engine = Engine(HeaderLayout((("h", 4),)))
         for lo in range(16):
             for hi in range(lo, 16):
-                prefixes = _range_prefixes(lo, hi, 4)
-                assert len(prefixes) <= 8  # 2 * width
-                covered = set()
-                for value, length in prefixes:
-                    span = 1 << (4 - length)
-                    covered |= set(range(value, value + span))
-                assert covered == set(range(lo, hi + 1))
+                p = engine.match(FieldConstraint.range_("h", lo, hi))
+                assert brute_set(engine, p) == set(range(lo, hi + 1))
+                assert len(live_nodes(engine, [p.node]) - {0, 1}) <= 2 * 4
+
+    def test_constraints_on_one_field_intersect(self, small_engine):
+        p = small_engine.match_all([
+            FieldConstraint.range_("h", 3, 12),
+            FieldConstraint.prefix("h", 0b0100, 2),
+            FieldConstraint.range_("h", 0, 6),
+        ])
+        assert brute_set(small_engine, p) == {4, 5, 6}
+        assert small_engine.match_all([
+            FieldConstraint.exact("h", 3), FieldConstraint.exact("h", 4),
+        ]) == small_engine.false_
+
+    def test_match_all_builds_only_its_result(self):
+        engine = Engine(HeaderLayout((("a", 3), ("b", 4), ("c", 2))))
+        p = engine.match_all([
+            FieldConstraint.range_("c", 1, 2),
+            FieldConstraint.prefix("a", 0b100, 1),
+            FieldConstraint.range_("b", 3, 12),
+            FieldConstraint.exact("a", 0b101),
+        ])
+        assert engine._cache == {}
+        assert live_nodes(engine, [p.node, 0, 1]) == set(range(len(engine._var)))
+        a = engine.match(FieldConstraint.exact("a", 0b101))
+        b = engine.match(FieldConstraint.range_("b", 3, 12))
+        c = engine.match(FieldConstraint.range_("c", 1, 2))
+        assert p == a & b & c
 
 
 class TestCombine:
@@ -310,3 +335,51 @@ class TestWitness:
     def test_prefers_the_hi_branch(self, small_engine):
         p = small_engine.match(FieldConstraint.range_("h", 3, 12))
         assert small_engine.witness(p).bits == (1, 1, 0, 0)  # 12, the largest
+
+
+@settings(max_examples=60, deadline=None)
+@given(expressions())
+def test_exists_matches_truth_table(expr):
+    engine = Engine(WIDE)
+    tt = truth_table(expr)
+    q = engine.exists(build_pred(engine, expr), ["b"])
+    assert brute_set(engine, q) == {
+        a << 7 | b for a in range(32) for b in range(128)
+        if any((a, v) in tt for v in range(128))
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(expressions(), st.integers(0, 31), st.integers(0, 127))
+def test_restrict_overwrites_the_fixed_fields(expr, a_val, b_val):
+    engine = Engine(WIDE)
+    p = build_pred(engine, expr)
+    tt = truth_table(expr)
+    assert brute_set(engine, engine.restrict(p, [("a", a_val)])) == {
+        a << 7 | b for a in range(32) for b in range(128) if (a_val, b) in tt
+    }
+    both = engine.restrict(p, [("b", b_val), ("a", a_val)])
+    assert both == (engine.true_ if (a_val, b_val) in tt else engine.false_)
+    # the pin-then-project definition it replaces in the rewrite preimage
+    pinned = p & engine.match(FieldConstraint.exact("a", a_val))
+    assert engine.restrict(p, [("a", a_val)]) == engine.exists(pinned, ["a"])
+
+
+def test_restrict_rejects_a_value_too_wide(small_engine):
+    with pytest.raises(ValueOutOfRange):
+        small_engine.restrict(small_engine.true_, [("h", 16)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["x", "y", None]), expressions()), max_size=6))
+def test_first_match_matches_truth_tables(entries):
+    engine = Engine(WIDE)
+    won = engine.first_match([(act, build_pred(engine, e)) for act, e in entries])
+    tables = [(act, truth_table(e)) for act, e in entries]
+    want: dict = {}
+    for a in range(32):
+        for b in range(128):
+            act = next((act for act, tt in tables if (a, b) in tt), None)
+            if act is not None:
+                want.setdefault(act, set()).add(a << 7 | b)
+    assert {act: brute_set(engine, p) for act, p in won.items()} == want

@@ -7,7 +7,7 @@ import pytest
 
 from atomtrace import cli
 from atomtrace.atoms import atom_of_header
-from tests.conftest import TWO_BOX_DOC, doc_bytes
+from tests.conftest import TWO_BOX_DOC, doc_bytes, live_nodes, match_nodes
 
 
 @pytest.fixture
@@ -24,12 +24,20 @@ def run(capsys, *argv):
 
 
 class TestBasicCommands:
-    def test_compile(self, capsys, snapshot_file):
+    def test_compile(self, capsys, snapshot_file, two_box_pipeline):
         code, out, _ = run(capsys, "compile", "--snapshot", snapshot_file)
         assert code == 0
         data = json.loads(out)
         assert data["boxes"] == 2
         assert data["port_sat_counts"]["s2:pext"] == 4
+        # the store holds the compiled predicates, the rule and ACL
+        # matches and the atoms, and nothing else
+        pipe = two_box_pipeline
+        engine = pipe.engine
+        roots = [p.node for p in pipe.compiled.all_preds]
+        roots += [pipe.atom_set.pred_of(i).node for i in pipe.atom_set.order]
+        roots += match_nodes(pipe.snapshot, engine)
+        assert data["bdd_nodes"] == len(engine._var) == len(live_nodes(engine, roots + [0, 1]))
 
     def test_atoms(self, capsys, snapshot_file):
         code, out, _ = run(capsys, "atoms", "--snapshot", snapshot_file)
@@ -90,6 +98,21 @@ class TestBasicCommands:
         code, _, err = run(capsys, "compile", "--snapshot", "missing.json")
         assert code == 1
         assert "missing.json" in err
+
+    def test_missing_updates_file_is_usage_error(self, capsys, snapshot_file, tmp_path):
+        missing = str(tmp_path / "missing.jsonl")
+        code, out, err = run(capsys, "update", "--snapshot", snapshot_file,
+                             "--updates", missing)
+        assert code == 1
+        assert out == ""
+        assert "missing.jsonl" in err
+
+    def test_unwritable_gen_output_is_usage_error(self, capsys, tmp_path):
+        out_path = str(tmp_path / "nodir" / "x.json")
+        code, out, err = run(capsys, "gen", "--out", out_path)
+        assert code == 1
+        assert out == ""
+        assert "x.json" in err
 
     def test_bad_json_snapshot(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

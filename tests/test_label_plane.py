@@ -90,7 +90,8 @@ class TestRewriteImage:
             sets=(("hi", 0),),
         )
         src = next(i for i in aset.order if aset.pred_of(i) == p_match)
-        _, dst = image_atom(engine, aset, spec, aset.pred_of(src))
+        image, dst = image_atom(engine, aset, spec, aset.pred_of(src))
+        assert image is None
         assert aset.pred_of(dst) == p_other
 
     def test_non_intersecting_atom_rejected(self):
@@ -112,7 +113,7 @@ class TestRewriteImage:
         aset = compute_atoms(engine, [p_match])
         spec = RewriteSpec(match=(FieldConstraint.exact("hi", 1),), sets=(("hi", 1),))
         src = next(i for i in aset.order if aset.pred_of(i) == p_match)
-        assert image_atom(engine, aset, spec, aset.pred_of(src))[1] == src
+        assert image_atom(engine, aset, spec, aset.pred_of(src)) == (None, src)
 
     def test_image_split_detected(self):
         layout = HeaderLayout((("hi", 1), ("lo", 3)))
@@ -127,7 +128,40 @@ class TestRewriteImage:
         spec = RewriteSpec(match=(FieldConstraint.exact("hi", 1),), sets=(("hi", 0),))
         src = next(i for i in aset.order if aset.pred_of(i) == p_match)
         image, dst = image_atom(engine, aset, spec, aset.pred_of(src))
-        assert not engine.is_false(image) and dst is None
+        assert dst is None
+        assert image == reference_image(engine, aset.pred_of(src), spec)
+        assert not engine.is_false(image)
+
+    def test_contained_image_adds_no_node(self):
+        layout = HeaderLayout((("src", 4), ("dst", 4)))
+        engine = Engine(layout)
+        preds = [engine.match(FieldConstraint.prefix("dst", v, n))
+                 for v, n in ((0b1000, 1), (0b1100, 2), (0b0010, 3))]
+        aset = compute_atoms(engine, preds)
+        spec = RewriteSpec(match=(FieldConstraint.prefix("dst", 0b1000, 1),),
+                           sets=(("src", 0b0110),))
+        for aid in aset.members_of(preds[0]):
+            nodes = len(engine._var)
+            assert image_atom(engine, aset, spec, aset.pred_of(aid)) == (None, aid)
+            assert len(engine._var) == nodes
+
+    def test_contained_nat_images_add_no_node(self):
+        # perfbench's query snapshot, with each NAT box's src constant
+        # replaced by one no source was built with
+        pipe = build_pipeline(parse_snapshot(doc_bytes(nat_doc())))
+        engine, aset = pipe.engine, pipe.atom_set
+        checked = 0
+        for box in pipe.snapshot.boxes:
+            if box.rewrite is None:
+                continue
+            (name, value), = box.rewrite.sets
+            spec = RewriteSpec(box.rewrite.match, ((name, value ^ 0x5A5A5A5A),))
+            for aid in aset.members_of(pipe.compiled.rewrite_match[box.id]):
+                nodes = len(engine._var)
+                assert image_atom(engine, aset, spec, aset.pred_of(aid)) == (None, aid)
+                assert len(engine._var) == nodes
+                checked += 1
+        assert checked > 0
 
     def test_pipeline_closes_over_split_images(self):
         # same situation via the pipeline: the image predicate is added to
