@@ -1,9 +1,12 @@
 """Binary decision tree mapping a header to its atom in one root-to-leaf walk.
 
 Internal nodes test network predicates; leaves hold exactly one atom id.
-Trees are immutable: updates return a new tree sharing untouched subtrees,
-so readers can keep classifying against a published version while a writer
-prepares the next one.
+The nodes are grown once, at a build or rebuild.  An update never touches
+them: a split atom's leaf is extended by the graft the atom line records
+for it, and a version follows a leaf's graft only when the leaf's atom is
+no longer live in it.  So trees are immutable, and readers can keep
+classifying against a published version while a writer prepares the next
+one.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Mapping, Union
 
 from . import atoms as atoms_mod
 from .atoms import AtomSet
@@ -48,6 +51,7 @@ class APTree:
     root: Node
     atom_set: AtomSet
     depth_sum: int  # sum of leaf depths (one leaf per atom), for the drift check
+    leaf_depths: Mapping[int, int]  # {atom id: depth} of the build's leaves
     version: int = 0
     structural_updates: int = 0
     strategy: str = GREEDY
@@ -86,13 +90,13 @@ def build(
     elif strategy not in (GREEDY, DECLARED):
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    depth_sum = 0
+    leaf_depths: dict[int, int] = {}
 
     def grow(reach: int, cands: list, depth: int) -> Node:
-        nonlocal depth_sum
         if not reach & (reach - 1):
-            depth_sum += depth
-            return Leaf(reach.bit_length() - 1)
+            atom = reach.bit_length() - 1
+            leaf_depths[atom] = depth
+            return Leaf(atom)
         size = reach.bit_count()
         best = None
         remaining = []
@@ -122,7 +126,8 @@ def build(
     return APTree(
         root=root,
         atom_set=atom_set,
-        depth_sum=depth_sum,
+        depth_sum=sum(leaf_depths.values()),
+        leaf_depths=leaf_depths,
         version=version,
         strategy=strategy,
         seed=seed,
@@ -130,7 +135,8 @@ def build(
 
 
 def classify(tree: APTree, h: Header) -> int:
-    """Walk the tree evaluating node predicates on the header bits."""
+    """Walk the tree evaluating node predicates on the header bits, then
+    the grafts of the version's split atoms below the leaf reached."""
     engine = tree.engine
     bits = h.bits
     if len(bits) != engine.width:
@@ -142,21 +148,36 @@ def classify(tree: APTree, h: Header) -> int:
         while n > 1:
             n = hi[n] if bits[var[n]] else lo[n]
         node = node.true_child if n else node.false_child
-    return node.atom
+    atom = node.atom
+    if tree.atom_set.line.grafts[atom] is None:
+        return atom  # no version has split it
+    graft = tree.atom_set.graft
+    while (g := graft(atom)) is not None:
+        n, inside, outside = g
+        while n > 1:
+            n = hi[n] if bits[var[n]] else lo[n]
+        atom = inside if n else outside
+    return atom
 
 
 def leaves(tree: APTree) -> list[tuple[int, int]]:
-    """(atom_id, depth) for every leaf."""
+    """(atom_id, depth) for every leaf, a split atom's leaf read as the
+    two leaves its graft puts one level below it."""
+    graft = tree.atom_set.graft
     out = []
     stack = [(tree.root, 0)]
     while stack:
         node, d = stack.pop()
-        if isinstance(node, Leaf):
-            out.append((node.atom, d))
-        else:
+        if isinstance(node, Internal):
             stack.append((node.true_child, d + 1))
             stack.append((node.false_child, d + 1))
+        elif (g := graft(node.atom)) is None:
+            out.append((node.atom, d))
+        else:
+            stack.append((Leaf(g[1]), d + 1))
+            stack.append((Leaf(g[2]), d + 1))
     return out
+
 
 def avg_leaf_depth(tree: APTree) -> Fraction:
     ls = leaves(tree)
@@ -168,53 +189,31 @@ def max_depth(tree: APTree) -> int:
 
 
 def add_predicate(tree: APTree, p: Predicate) -> APTree:
-    """Refine straddled leaves in place at the bottom of the tree.
+    """Refine straddled leaves at the bottom of the tree.
 
-    A leaf whose atom is split by p becomes an internal node testing p with
-    two fresh leaves; all other leaves are untouched.  Adding a predicate
-    that is already refined by the partition changes no structure.
+    A leaf whose atom is split by p reads, in the new version, as an
+    internal node testing p with two fresh leaves; all other leaves are
+    untouched.  Adding a predicate that is already refined by the
+    partition changes no structure.
 
-    atoms.refine finds the split atoms through the atom index.  The leaf of
-    a split atom is where a witness of its inside part lands, so only those
-    paths are walked and copied, and the only BDD work is refine's.
+    atoms.refine finds the split atoms through the atom index and records
+    each split as a graft on the atom line, so no path is walked or
+    copied, and the only BDD work is refine's.  A split leaf sits at its
+    build leaf's depth plus one level per graft above it.
     """
-    engine = tree.engine
     if p.node in (0, 1):
         raise ValueError("cannot add a constant predicate")
     atom_set, splits = atoms_mod.refine(tree.atom_set, p)
-    root, depth_sum = tree.root, tree.depth_sum
-    if splits:
-        var, lo, hi = engine._var, engine._lo, engine._hi
-        reached: set[int] = set()  # id() of the internal nodes on the split leaves' paths
-        for ti, _ in splits.values():
-            bits = engine.witness(atom_set.pred_of(ti)).bits
-            node = root
-            while type(node) is Internal:
-                reached.add(id(node))
-                n = node.pred.node
-                while n > 1:
-                    n = hi[n] if bits[var[n]] else lo[n]
-                node = node.true_child if n else node.false_child
-
-        def rewrite(node: Node, depth: int) -> Node:
-            nonlocal depth_sum
-            if type(node) is Leaf:
-                if node.atom in splits:
-                    depth_sum += depth + 2  # one leaf at depth d becomes two at d+1
-                    ti, fi = splits[node.atom]
-                    return Internal(p, Leaf(ti), Leaf(fi))
-                return node
-            if id(node) not in reached:
-                return node
-            t = rewrite(node.true_child, depth + 1)
-            f = rewrite(node.false_child, depth + 1)
-            if t is node.true_child and f is node.false_child:
-                return node
-            return Internal(node.pred, t, f)
-
-        root = rewrite(root, 0)
+    depth_sum, leaf_depths = tree.depth_sum, tree.leaf_depths
+    parent = atom_set.line.parent
+    for a in splits:
+        levels = 0
+        while a not in leaf_depths:
+            a = parent[a]
+            levels += 1
+        depth_sum += leaf_depths[a] + levels + 2  # one leaf at depth d becomes two at d+1
     return APTree(
-        root, atom_set, depth_sum, tree.version,
+        tree.root, atom_set, depth_sum, leaf_depths, tree.version,
         tree.structural_updates + 1, tree.strategy, tree.seed,
     )
 
@@ -225,8 +224,8 @@ def remove_predicate(tree: APTree, p: Predicate) -> APTree:
     Raises UnknownPredicate when p is not live."""
     return APTree(
         tree.root, atoms_mod.drop_source(tree.atom_set, p),
-        tree.depth_sum, tree.version, tree.structural_updates + 1,
-        tree.strategy, tree.seed,
+        tree.depth_sum, tree.leaf_depths, tree.version,
+        tree.structural_updates + 1, tree.strategy, tree.seed,
     )
 
 

@@ -26,10 +26,14 @@ class Pipeline:
     snapshot: NetworkSnapshot
     engine: Engine
     compiled: CompiledNetwork
-    sources: tuple[Predicate, ...]
     atom_set: AtomSet
     tree: aptree.APTree
     bmap: BehaviorMap
+
+    @property
+    def sources(self) -> tuple[Predicate, ...]:
+        """The live predicates: the atom set's sources."""
+        return self.atom_set.sources
 
     def label_plane(self, agent_key: int = 0) -> LabelPlane:
         return build_label_plane(self.atom_set, agent_key, self.bmap)
@@ -95,4 +99,4 @@ def build_pipeline(
     tree = aptree.build(atom_set, strategy=strategy, seed=seed)
     bmap = compile_behavior_map(compiled, atom_set, snapshot, rewrites)
     engine.clear_cache()
-    return Pipeline(snapshot, engine, compiled, atom_set.sources, atom_set, tree, bmap)
+    return Pipeline(snapshot, engine, compiled, atom_set, tree, bmap)

@@ -1,8 +1,10 @@
 import json
+from typing import NamedTuple
 
 import pytest
 
-from atomtrace import Engine, HeaderLayout, parse_snapshot
+from atomtrace import Engine, HeaderLayout, aptree, atoms, parse_snapshot
+from atomtrace.aptree import Internal, Leaf
 from atomtrace.pipeline import build_pipeline
 
 SMALL = HeaderLayout((("h", 4),))
@@ -170,3 +172,111 @@ def loop_pipeline():
 @pytest.fixture
 def rewrite_pipeline():
     return build_pipeline(parse_snapshot(doc_bytes(REWRITE_DOC)))
+
+
+# --- the path-copying tree: the reference for aptree's grafted updates ------
+
+
+class PathCopiedTree(NamedTuple):
+    """A classification tree whose adds copy the root-to-leaf path of every
+    split leaf, so each version's nodes hold its whole partition."""
+
+    root: aptree.Node
+    atom_set: atoms.AtomSet
+    depth_sum: int
+    structural_updates: int = 0
+
+
+def path_copied(tree: aptree.APTree) -> PathCopiedTree:
+    """A freshly built tree as a reference tree, its depth sum read off its
+    own leaves."""
+    return PathCopiedTree(tree.root, tree.atom_set,
+                          sum(d for _, d in reference_leaves(tree)))
+
+
+def reference_classify(tree, h) -> int:
+    """One walk from the root to the leaf whose tests the header passes."""
+    engine = tree.atom_set.engine
+    node = tree.root
+    while isinstance(node, Internal):
+        node = node.true_child if engine.eval(node.pred, h) else node.false_child
+    return node.atom
+
+
+def reference_leaves(tree) -> list[tuple[int, int]]:
+    """(atom_id, depth) of every leaf node."""
+    out, stack = [], [(tree.root, 0)]
+    while stack:
+        node, d = stack.pop()
+        if isinstance(node, Leaf):
+            out.append((node.atom, d))
+        else:
+            stack += [(node.true_child, d + 1), (node.false_child, d + 1)]
+    return out
+
+
+def path_copying_add(tree: PathCopiedTree, p) -> PathCopiedTree:
+    """Refine the atoms by p and replace each split atom's leaf by a node
+    testing p over its two children, copying only the paths that lead to
+    a split leaf."""
+    atom_set, splits = atoms.refine(tree.atom_set, p)
+    depth_sum = tree.depth_sum
+
+    def rewrite(node, depth):
+        nonlocal depth_sum
+        if isinstance(node, Leaf):
+            if node.atom not in splits:
+                return node
+            depth_sum += depth + 2  # one leaf at depth d becomes two at d+1
+            inside, outside = splits[node.atom]
+            return Internal(p, Leaf(inside), Leaf(outside))
+        t = rewrite(node.true_child, depth + 1)
+        f = rewrite(node.false_child, depth + 1)
+        if t is node.true_child and f is node.false_child:
+            return node
+        return Internal(node.pred, t, f)
+
+    return PathCopiedTree(rewrite(tree.root, 0), atom_set, depth_sum,
+                          tree.structural_updates + 1)
+
+
+def path_copying_remove(tree: PathCopiedTree, p) -> PathCopiedTree:
+    return tree._replace(atom_set=atoms.drop_source(tree.atom_set, p),
+                         structural_updates=tree.structural_updates + 1)
+
+
+class PathCopyingClassifier:
+    """PublishedClassifier's update and rebuild rules over path-copied
+    trees: a rebuild after rebuild_after structural updates ("count") or
+    when the mean leaf depth passes DEPTH_RATIO times its value after the
+    last build ("depth").  triggers lists (trigger, updates applied)."""
+
+    def __init__(self, tree: aptree.APTree, rebuild_after: int):
+        self.tree = path_copied(tree)
+        self.rebuild_after = rebuild_after
+        self.baseline = self.tree.depth_sum / len(self.tree.atom_set)
+        self.updates = 0
+        self.triggers: list[tuple[str, int]] = []
+
+    def add(self, p) -> PathCopiedTree:
+        return self._publish(path_copying_add(self.tree, p))
+
+    def remove(self, p) -> PathCopiedTree:
+        return self._publish(path_copying_remove(self.tree, p))
+
+    def _publish(self, t: PathCopiedTree) -> PathCopiedTree:
+        self.updates += 1
+        n = len(t.atom_set)
+        if t.structural_updates >= self.rebuild_after:
+            trigger = "count"
+        elif n > 1 and t.depth_sum / n > self.baseline * aptree.DEPTH_RATIO:
+            trigger = "depth"
+        else:
+            trigger = None
+        if trigger is not None:
+            t = path_copied(aptree.build(
+                atoms.compute_atoms(t.atom_set.engine, t.atom_set.sources)))
+            self.baseline = t.depth_sum / len(t.atom_set)
+            self.triggers.append((trigger, self.updates))
+        self.tree = t
+        return t

@@ -5,9 +5,17 @@ import sys
 
 import pytest
 
-from atomtrace import cli
-from atomtrace.atoms import atom_of_header
-from tests.conftest import TWO_BOX_DOC, doc_bytes, live_nodes, match_nodes
+from atomtrace import cli, parse_snapshot
+from atomtrace.atoms import UnknownPredicate, atom_of_header
+from atomtrace.pipeline import build_pipeline
+from tests.conftest import (
+    TWO_BOX_DOC,
+    PathCopyingClassifier,
+    doc_bytes,
+    live_nodes,
+    match_nodes,
+    reference_leaves,
+)
 
 
 @pytest.fixture
@@ -216,6 +224,34 @@ class TestGenAndUpdate:
         assert "p95_ms" in summary
         # p90_ms is perfbench's update metric
         assert summary["p50_ms"] <= summary["p90_ms"] <= summary["p95_ms"]
+
+    def test_update_summary_reads_grafted_leaves(self, capsys, tmp_path):
+        # no rebuild runs, so every split atom's leaf is a graft
+        snap = tmp_path / "snap.json"
+        upd = tmp_path / "upd.jsonl"
+        run(capsys, "gen", "--seed", "6", "--boxes", "3", "--out", str(snap),
+            "--updates-out", str(upd), "--update-count", "20")
+        code, out, _ = run(
+            capsys, "update", "--snapshot", str(snap), "--updates", str(upd)
+        )
+        assert code == 0
+        summary = json.loads(out.strip().splitlines()[-1])
+        assert summary["rebuilds"] == 0
+        assert summary["leaf_count"] == summary["atom_count"]
+        pipe = build_pipeline(parse_snapshot(snap.read_bytes()))
+        ref = PathCopyingClassifier(pipe.tree, rebuild_after=256)
+        for line in upd.read_text().splitlines():
+            obj = json.loads(line)
+            pred = cli._resolve_update_pred(pipe, obj["pred"])
+            try:
+                (ref.add if obj["op"] == "add" else ref.remove)(pred)
+            except UnknownPredicate:
+                pass
+        assert summary["atom_count"] > len(pipe.atom_set)  # some adds split
+        depths = [d for _, d in reference_leaves(ref.tree)]
+        assert summary["leaf_count"] == len(depths)
+        assert summary["avg_leaf_depth"] == sum(depths) / len(depths)
+        assert summary["max_depth"] == max(depths)
 
     def test_update_reports_rebuild_triggers(self, capsys, tmp_path):
         snap = tmp_path / "snap.json"

@@ -25,6 +25,11 @@ from atomtrace.pipeline import build_pipeline
 from atomtrace.workload import WorkloadSpec, generate, snapshot_bytes
 from hypothesis import given, settings, strategies as st
 
+from tests.conftest import (
+    PathCopyingClassifier,
+    reference_classify,
+    reference_leaves,
+)
 from tests.test_atoms import LAYOUTS, Partition, partition, pred_of_headers
 
 
@@ -186,6 +191,23 @@ class TestUpdates:
         t2 = add_predicate(tree, preds[1])
         assert t2.root is tree.root
         assert t2.atom_set.members_of(preds[1]) == aset.members_of(preds[1])
+
+    def test_sibling_versions_follow_only_their_own_grafts(self, three_atoms):
+        # two adds to one version both split 10**, each its own way
+        engine, preds, aset = three_atoms
+        tree = build(aset)
+        split_atom = tree.atom_set.atom_of(engine.layout.header_from_int(0b1000))
+        a = add_predicate(tree, prefix(engine, 0b1000, 3))  # 100*
+        b = add_predicate(tree, pred_of_headers(engine, 1 << 8 | 1 << 10))
+        assert len(aset.line.grafts[split_atom]) == 2
+        # and each branch splits its own child again
+        a2 = add_predicate(a, pred_of_headers(engine, 1 << 8 | 1 << 12))
+        b2 = add_predicate(b, pred_of_headers(engine, 1 << 10 | 1 << 11))
+        # the parent sees neither graft, and each child only its own
+        for t in (tree, a, b, a2, b2):
+            assert sorted(i for i, _ in aptree.leaves(t)) == sorted(t.atom_set.order)
+            for h in engine.layout.all_headers():
+                assert classify(t, h) == atom_of_header(t.atom_set, h)
 
     def test_add_splits_only_straddled_leaves(self, three_atoms):
         engine, preds, aset = three_atoms
@@ -409,10 +431,52 @@ def test_writer_streams_equal_the_reference(layout, data):
     assert by_function(partition(b)) == by_function(want_b)
 
 
-class CountedApplies:
-    """Counts the engine's public BDD applies while it is installed."""
+@pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_grafted_updates_equal_path_copying(layout, data):
+    """Random add/remove streams through PublishedClassifier, rebuilds
+    included, against the path-copying reference after every update: leaf
+    multiset, depth sum, rebuild triggers and every header's atom; then
+    every published version again, after all the later updates."""
+    engine = Engine(layout)
+    width = layout.total_width
+    full = (1 << (1 << width)) - 1
+    start = [pred_of_headers(engine, m)
+             for m in data.draw(st.lists(st.integers(1, full - 1), max_size=4))]
+    rebuild_after = data.draw(st.integers(2, 12))
+    pc = PublishedClassifier(build(compute_atoms(engine, start)), rebuild_after)
+    ref = PathCopyingClassifier(build(compute_atoms(engine, start)), rebuild_after)
+    headers = list(layout.all_headers())
+    versions = [(pc.tree, ref.tree)]
+    for op, arg in data.draw(st.lists(writer_ops(width), max_size=16)):
+        live = pc.tree.sources
+        if op == "add" or not live:
+            p = pred_of_headers(engine, arg if op == "add" else 0)
+            steps = [] if p.node in (0, 1) else [("add", p)]
+        else:
+            p = live[arg % len(live)]
+            steps = {"readd": [("add", p)], "remove": [("remove", p)],
+                     "remove+add": [("remove", p), ("add", p)]}[op]
+        for kind, p in steps:
+            tree = (pc.add if kind == "add" else pc.remove)(p)
+            want = (ref.add if kind == "add" else ref.remove)(p)
+            assert sorted(aptree.leaves(tree)) == sorted(reference_leaves(want))
+            assert tree.depth_sum == want.depth_sum
+            assert [(r["trigger"], r["update"]) for r in pc.rebuilds] == ref.triggers
+            for h in headers:
+                assert classify(tree, h) == reference_classify(want, h)
+            versions.append((tree, want))
+    for tree, want in versions:
+        for h in headers:
+            assert classify(tree, h) == reference_classify(want, h) \
+                == atom_of_header(tree.atom_set, h)
 
-    OPS = ("conj", "disj", "neg", "diff", "split", "exists", "implies")
+
+class CountedApplies:
+    """Counts the engine's public BDD operations while it is installed."""
+
+    OPS = ("conj", "disj", "neg", "diff", "split", "exists", "implies", "witness")
 
     def __init__(self, engine, monkeypatch):
         self.calls = dict.fromkeys(self.OPS, 0)
@@ -441,7 +505,8 @@ class TestExactWriterPath:
                 before = len(tree.atom_set)
                 tree = add_predicate(tree, pred)
                 monkeypatch.undo()
-                # one split per straddled atom, and nothing else
+                # one split per straddled atom, and nothing else: no
+                # witness walks the tree
                 split = len(tree.atom_set) - before
                 assert applies.calls == dict(
                     dict.fromkeys(CountedApplies.OPS, 0), split=split
