@@ -1,12 +1,13 @@
 """Binary decision tree mapping a header to its atom in one root-to-leaf walk.
 
 Internal nodes test network predicates; leaves hold exactly one atom id.
-The nodes are grown once, at a build or rebuild.  An update never touches
-them: a split atom's leaf is extended by the graft the atom line records
-for it, and a version follows a leaf's graft only when the leaf's atom is
-no longer live in it.  So trees are immutable, and readers can keep
-classifying against a published version while a writer prepares the next
-one.
+A build grows the nodes, and an update never touches them: it records each
+split of an atom as a graft, an internal node testing the splitting
+predicate over the two children's leaves, in a store that the build's
+versions share and only append to.  A version continues at a leaf's graft
+only when the leaf's atom is no longer live in it.  So trees are immutable,
+and readers can keep classifying against a published version while a
+writer prepares the next one.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Optional, Union
 
 from . import atoms as atoms_mod
 from .atoms import AtomSet
@@ -27,12 +28,12 @@ class Inconsistent(RuntimeError):
     """Reachable atoms cannot be separated by the remaining predicates."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     atom: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Internal:
     pred: Predicate
     true_child: "Node"
@@ -51,7 +52,9 @@ class APTree:
     root: Node
     atom_set: AtomSet
     depth_sum: int  # sum of leaf depths (one leaf per atom), for the drift check
-    leaf_depths: Mapping[int, int]  # {atom id: depth} of the build's leaves
+    # shared by the build's versions, which only append to them:
+    leaf_depths: dict[int, int]  # {atom id: depth} of every leaf they have had
+    grafts: dict[int, tuple[Internal, ...]]  # {atom id: one split per branch}
     version: int = 0
     structural_updates: int = 0
     strategy: str = GREEDY
@@ -65,6 +68,18 @@ class APTree:
     def sources(self) -> tuple[Predicate, ...]:
         """The live predicates, in refinement order: the atom set's sources."""
         return self.atom_set.sources
+
+    def graft(self, atom: int) -> Optional[Internal]:
+        """This version's split of an atom it has had; None while the atom
+        is live here.  The store lists one split per branch that made one,
+        and only this version's own has an inside child it was born with."""
+        grafts = self.grafts.get(atom)
+        if grafts is None or self.atom_set.live >> atom & 1:
+            return None
+        if len(grafts) == 1:
+            return grafts[0]
+        born = self.atom_set.born
+        return next(g for g in grafts if born >> g.true_child.atom & 1)
 
 
 def build(
@@ -128,6 +143,7 @@ def build(
         atom_set=atom_set,
         depth_sum=sum(leaf_depths.values()),
         leaf_depths=leaf_depths,
+        grafts={},
         version=version,
         strategy=strategy,
         seed=seed,
@@ -135,47 +151,40 @@ def build(
 
 
 def classify(tree: APTree, h: Header) -> int:
-    """Walk the tree evaluating node predicates on the header bits, then
-    the grafts of the version's split atoms below the leaf reached."""
+    """Walk the tree evaluating node predicates on the header bits; a leaf
+    whose atom the version has split continues at the version's graft."""
     engine = tree.engine
     bits = h.bits
     if len(bits) != engine.width:
         raise LengthMismatch(f"header has {len(bits)} bits, layout {engine.width}")
     var, lo, hi = engine._var, engine._lo, engine._hi
+    grafts = tree.grafts
     node = tree.root
-    while isinstance(node, Internal):
+    while True:
+        if type(node) is Leaf:
+            atom = node.atom
+            if atom not in grafts or (node := tree.graft(atom)) is None:
+                return atom
         n = node.pred.node
         while n > 1:
             n = hi[n] if bits[var[n]] else lo[n]
         node = node.true_child if n else node.false_child
-    atom = node.atom
-    if tree.atom_set.line.grafts[atom] is None:
-        return atom  # no version has split it
-    graft = tree.atom_set.graft
-    while (g := graft(atom)) is not None:
-        n, inside, outside = g
-        while n > 1:
-            n = hi[n] if bits[var[n]] else lo[n]
-        atom = inside if n else outside
-    return atom
 
 
 def leaves(tree: APTree) -> list[tuple[int, int]]:
     """(atom_id, depth) for every leaf, a split atom's leaf read as the
-    two leaves its graft puts one level below it."""
-    graft = tree.atom_set.graft
+    version's graft in its place."""
     out = []
     stack = [(tree.root, 0)]
     while stack:
         node, d = stack.pop()
-        if isinstance(node, Internal):
-            stack.append((node.true_child, d + 1))
-            stack.append((node.false_child, d + 1))
-        elif (g := graft(node.atom)) is None:
-            out.append((node.atom, d))
-        else:
-            stack.append((Leaf(g[1]), d + 1))
-            stack.append((Leaf(g[2]), d + 1))
+        if type(node) is Leaf:
+            if (graft := tree.graft(node.atom)) is None:
+                out.append((node.atom, d))
+                continue
+            node = graft
+        stack.append((node.true_child, d + 1))
+        stack.append((node.false_child, d + 1))
     return out
 
 
@@ -196,24 +205,21 @@ def add_predicate(tree: APTree, p: Predicate) -> APTree:
     untouched.  Adding a predicate that is already refined by the
     partition changes no structure.
 
-    atoms.refine finds the split atoms through the atom index and records
-    each split as a graft on the atom line, so no path is walked or
-    copied, and the only BDD work is refine's.  A split leaf sits at its
-    build leaf's depth plus one level per graft above it.
+    atoms.refine finds the split atoms through the atom index, and each
+    split is recorded as a graft of its atom, so no path is walked or
+    copied, and the only BDD work is refine's.
     """
     if p.node in (0, 1):
         raise ValueError("cannot add a constant predicate")
     atom_set, splits = atoms_mod.refine(tree.atom_set, p)
-    depth_sum, leaf_depths = tree.depth_sum, tree.leaf_depths
-    parent = atom_set.line.parent
-    for a in splits:
-        levels = 0
-        while a not in leaf_depths:
-            a = parent[a]
-            levels += 1
-        depth_sum += leaf_depths[a] + levels + 2  # one leaf at depth d becomes two at d+1
+    depth_sum, depths, grafts = tree.depth_sum, tree.leaf_depths, tree.grafts
+    for a, (inside, outside) in splits.items():
+        d = depths[a]
+        depths[inside] = depths[outside] = d + 1
+        grafts[a] = grafts.get(a, ()) + (Internal(p, Leaf(inside), Leaf(outside)),)
+        depth_sum += d + 2  # one leaf at depth d becomes two at d+1
     return APTree(
-        tree.root, atom_set, depth_sum, leaf_depths, tree.version,
+        tree.root, atom_set, depth_sum, depths, grafts, tree.version,
         tree.structural_updates + 1, tree.strategy, tree.seed,
     )
 
@@ -224,7 +230,7 @@ def remove_predicate(tree: APTree, p: Predicate) -> APTree:
     Raises UnknownPredicate when p is not live."""
     return APTree(
         tree.root, atoms_mod.drop_source(tree.atom_set, p),
-        tree.depth_sum, tree.leaf_depths, tree.version,
+        tree.depth_sum, tree.leaf_depths, tree.grafts, tree.version,
         tree.structural_updates + 1, tree.strategy, tree.seed,
     )
 

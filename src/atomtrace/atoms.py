@@ -26,11 +26,6 @@ class AtomLine:
     them in refinement order.  A new id is the line's length, so two
     versions refined from one parent never share an id.  store holds the
     line's atom indexes.
-
-    grafts[i] is None until some version splits atom i; then it lists
-    each such split as (BDD node of the splitting predicate, inside id,
-    outside id), one per version branch that split i.  parent[i] is the
-    atom a split made i from, or -1 for a base atom.
     """
 
     def __init__(self, engine: Engine, preds: Sequence[Predicate]):
@@ -38,8 +33,6 @@ class AtomLine:
         self.keys: list[tuple[int, ...]] = [(j,) for j in range(len(self.preds))]
         self.base = len(self.preds)
         self.store = IndexStore(engine.width)
-        self.grafts: list[Optional[tuple[tuple[int, int, int], ...]]] = [None] * self.base
-        self.parent: list[int] = [-1] * self.base
 
 
 # A split log: None, or the cell (atom id, inside id, outside id, older
@@ -150,19 +143,6 @@ class AtomSet:
         for _, ti, fi in self.splits():
             bits |= 1 << ti | 1 << fi
         return bits
-
-    def graft(self, atom_id: int) -> Optional[tuple[int, int, int]]:
-        """This version's split of an atom it has had, as (BDD node of the
-        splitting predicate, inside id, outside id); None while the atom is
-        live here.  The line lists one split per branch that made one, and
-        only this version's own has an inside child it was born with."""
-        grafts = self.line.grafts[atom_id]
-        if grafts is None or self.live >> atom_id & 1:
-            return None
-        if len(grafts) == 1:
-            return grafts[0]
-        born = self.born
-        return next(g for g in grafts if born >> g[1] & 1)
 
     @property
     def sources(self) -> tuple[Predicate, ...]:
@@ -301,8 +281,7 @@ def refine(atom_set: AtomSet, p: Predicate) -> tuple[AtomSet, dict[int, tuple[in
     outside it and those that straddle it; only the straddled ones are
     split, by one Engine.split each.  Atoms fully inside or outside p keep
     their ids, and split atoms get fresh ids in atom order, appended to the
-    line and logged, and each split is recorded as a graft of its atom.
-    Other sources' bits are left as recorded: each child is contained in
+    line and logged.  Other sources' bits are left as recorded: each child is contained in
     its parent, so implication is inherited, and readers replay the log.
     The index replaces each split terminal by ite(p, inside, outside).
     """
@@ -315,15 +294,12 @@ def refine(atom_set: AtomSet, p: Predicate) -> tuple[AtomSet, dict[int, tuple[in
     splits: dict[int, tuple[int, int]] = {}
     line, log, index = atom_set.line, atom_set.log, atom_set.index
     if straddled:
-        preds, keys, grafts = line.preds, line.keys, line.grafts
+        preds, keys = line.preds, line.keys
         for i in atom_set.in_order(straddled):
             ti = len(preds)
             fi = ti + 1
             preds.extend(engine.split(preds[i], p))
             keys.extend((keys[i] + (0,), keys[i] + (1,)))
-            grafts.extend((None, None))
-            line.parent.extend((i, i))
-            grafts[i] = (grafts[i] or ()) + ((p.node, ti, fi),)
             splits[i] = (ti, fi)
             covered |= 1 << ti
             log = (i, ti, fi, log)

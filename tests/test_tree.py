@@ -199,7 +199,7 @@ class TestUpdates:
         split_atom = tree.atom_set.atom_of(engine.layout.header_from_int(0b1000))
         a = add_predicate(tree, prefix(engine, 0b1000, 3))  # 100*
         b = add_predicate(tree, pred_of_headers(engine, 1 << 8 | 1 << 10))
-        assert len(aset.line.grafts[split_atom]) == 2
+        assert len(tree.grafts[split_atom]) == 2
         # and each branch splits its own child again
         a2 = add_predicate(a, pred_of_headers(engine, 1 << 8 | 1 << 12))
         b2 = add_predicate(b, pred_of_headers(engine, 1 << 10 | 1 << 11))
