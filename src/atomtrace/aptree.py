@@ -237,16 +237,14 @@ def remove_predicate(tree: APTree, p: Predicate) -> APTree:
 
 def rebuild(tree: APTree) -> APTree:
     """Recompute the atoms of the live predicates with compute_atoms and grow
-    a fresh tree over them; the op cache then holds only the work of later
-    updates."""
-    fresh = build(
+    a fresh tree over them, with fresh grafts and leaf depths.  Neither an
+    update nor a rebuild adds op-cache entries."""
+    return build(
         atoms_mod.compute_atoms(tree.engine, tree.sources),
         strategy=tree.strategy,
         seed=tree.seed,
         version=tree.version + 1,
     )
-    tree.engine.clear_cache()
-    return fresh
 
 
 # a rebuild is due when the mean leaf depth passes this multiple of its

@@ -51,9 +51,17 @@ def field_int(name: str, value) -> int:
     return int(value)
 
 
+# The widest layout.  Engine.first_match and atoms.compute_atoms recurse
+# twice per header bit, and a 500-bit layout ran past the interpreter's
+# default limit of 1,000 frames; 384 bits leaves room for the caller's own
+# frames and keeps the IPv6 5-tuple (296 bits) valid.
+MAX_WIDTH = 384
+
+
 @dataclass(frozen=True)
 class HeaderLayout:
-    """Ordered (name, width) fields defining the header bit space."""
+    """Ordered (name, width) fields defining the header bit space, at most
+    MAX_WIDTH bits in all."""
 
     fields: tuple[tuple[str, int], ...]
 
@@ -67,10 +75,12 @@ class HeaderLayout:
             names.add(name)
         if not self.fields:
             raise InvalidLayout("layout has no fields")
+        total = sum(w for _, w in self.fields)
+        if total > MAX_WIDTH:
+            raise InvalidLayout(f"layout is {total} bits wide, more than {MAX_WIDTH}")
         # name -> (offset, width, shift): the field's first bit, its width,
         # and where its value sits in the header packed MSB-first into one int
         place, off = {}, 0
-        total = sum(w for _, w in self.fields)
         for name, width in self.fields:
             place[name] = (off, width, total - off - width)
             off += width
@@ -92,6 +102,29 @@ class HeaderLayout:
 
     def field_offset(self, name: str) -> int:
         return self._field(name)[0]
+
+    def interval(self, c: "FieldConstraint") -> tuple[int, int]:
+        """The values [lo, hi] of c's field that c matches.  Raises
+        ValueOutOfRange when a value or a prefix length does not fit the
+        field, or a range is reversed."""
+        width = self.field_width(c.field)
+        if c.kind == "exact":
+            if c.value is None or not 0 <= c.value < (1 << width):
+                raise ValueOutOfRange(f"exact value {c.value} vs width {width}")
+            return c.value, c.value
+        if c.kind == "prefix":
+            if c.length is None or not 0 <= c.length <= width:
+                raise ValueOutOfRange(f"prefix length {c.length} vs width {width}")
+            if c.value is None or not 0 <= c.value < (1 << width):
+                raise ValueOutOfRange(f"prefix value {c.value} vs width {width}")
+            free = width - c.length
+            lo = c.value >> free << free
+            return lo, lo | ((1 << free) - 1)
+        if c.kind == "range":
+            if c.lo is None or c.hi is None or not 0 <= c.lo <= c.hi < (1 << width):
+                raise ValueOutOfRange(f"range [{c.lo},{c.hi}] vs width {width}")
+            return c.lo, c.hi
+        raise ValueOutOfRange(f"unknown constraint kind {c.kind!r}")
 
     def header(self, values: dict[str, int]) -> "Header":
         """Build a header from per-field values (ints or decimal strings);
@@ -209,8 +242,8 @@ class Engine:
 
     def clear_cache(self) -> None:
         """Drop the op cache.  It only memoises construction -- serving
-        reads _var/_lo/_hi -- so the writer empties it each time it has
-        built a structure to publish, and memory follows the live state."""
+        reads _var/_lo/_hi -- so build_pipeline empties it once set-up is
+        done; no update or rebuild adds to it."""
         self._cache.clear()
 
     # -- constants -----------------------------------------------------
@@ -261,7 +294,7 @@ class Engine:
         """
         spans: dict[str, tuple[int, int]] = {}
         for c in constraints:
-            lo, hi = self._interval(c)
+            lo, hi = self.layout.interval(c)
             if c.field in spans:
                 lo0, hi0 = spans[c.field]
                 lo, hi = max(lo, lo0), min(hi, hi0)
@@ -274,27 +307,6 @@ class Engine:
             off, width, _ = self.layout._field(name)
             node = self._span(off, width, lo, hi, node)
         return self._wrap(node)
-
-    def _interval(self, c: FieldConstraint) -> tuple[int, int]:
-        """The values [lo, hi] of c's field that c matches."""
-        width = self.layout.field_width(c.field)
-        if c.kind == "exact":
-            if c.value is None or not 0 <= c.value < (1 << width):
-                raise ValueOutOfRange(f"exact value {c.value} vs width {width}")
-            return c.value, c.value
-        if c.kind == "prefix":
-            if c.length is None or not 0 <= c.length <= width:
-                raise ValueOutOfRange(f"prefix length {c.length} vs width {width}")
-            if c.value is None or not 0 <= c.value < (1 << width):
-                raise ValueOutOfRange(f"prefix value {c.value} vs width {width}")
-            free = width - c.length
-            lo = c.value >> free << free
-            return lo, lo | ((1 << free) - 1)
-        if c.kind == "range":
-            if c.lo is None or c.hi is None or not 0 <= c.lo <= c.hi < (1 << width):
-                raise ValueOutOfRange(f"range [{c.lo},{c.hi}] vs width {width}")
-            return c.lo, c.hi
-        raise ValueOutOfRange(f"unknown constraint kind {c.kind!r}")
 
     def _span(self, off: int, width: int, lo: int, hi: int, tail: int) -> int:
         """Headers whose width bits from variable off hold a value in

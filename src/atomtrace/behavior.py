@@ -37,13 +37,10 @@ class Delivered:
     port: str
 
 
-DROP_REASONS = ("acl_in", "acl_out", "no_route", "rule_drop")
-
-
 @dataclass(frozen=True)
 class Dropped:
     box: str
-    reason: str
+    reason: str  # "acl_in", "acl_out", "no_route" or "rule_drop"
 
 
 @dataclass(frozen=True)

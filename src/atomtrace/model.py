@@ -6,7 +6,9 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .bdd import Engine, EngineMismatch, FieldConstraint, HeaderLayout, Predicate, field_int
+from .bdd import (
+    Engine, EngineMismatch, FieldConstraint, HeaderLayout, Predicate, ValueOutOfRange, field_int,
+)
 
 
 class SnapshotError(ValueError):
@@ -123,21 +125,25 @@ def _parse_constraint(obj: dict, layout: HeaderLayout, where: str) -> FieldConst
     except KeyError:
         raise BadConstraint(f"{where}: unknown field {fname!r}")
     if kind == "exact":
-        return FieldConstraint.exact(fname, _parse_value(obj.get("value"), width, where))
-    if kind == "prefix":
+        c = FieldConstraint.exact(fname, _parse_value(obj.get("value"), width, where))
+    elif kind == "prefix":
         length = obj.get("length")
-        if not _is_int(length) or not 0 <= length <= width:
+        if not _is_int(length):
             raise BadConstraint(f"{where}: bad prefix length {length!r}")
-        return FieldConstraint.prefix(
-            fname, _parse_value(obj.get("value"), width, where), length
-        )
-    if kind == "range":
-        return FieldConstraint.range_(
+        c = FieldConstraint.prefix(fname, _parse_value(obj.get("value"), width, where), length)
+    elif kind == "range":
+        c = FieldConstraint.range_(
             fname,
             _parse_value(obj.get("lo"), width, where),
             _parse_value(obj.get("hi"), width, where),
         )
-    raise BadConstraint(f"{where}: unknown constraint kind {kind!r}")
+    else:
+        raise BadConstraint(f"{where}: unknown constraint kind {kind!r}")
+    try:
+        layout.interval(c)
+    except ValueOutOfRange as e:
+        raise BadConstraint(f"{where}: {e}") from e
+    return c
 
 
 def _parse_match(objs, layout, where) -> tuple[FieldConstraint, ...]:

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from atomtrace import cli, parse_snapshot
+from atomtrace import HeaderLayout, cli, parse_snapshot
 from atomtrace.atoms import UnknownPredicate, atom_of_header
+from atomtrace.bdd import MAX_WIDTH
 from atomtrace.pipeline import build_pipeline
 from tests.conftest import (
     TWO_BOX_DOC,
@@ -409,6 +410,99 @@ class TestNonIntegerValues:
         assert code == 0
         assert out == run(capsys, "classify", "--snapshot", snapshot_file,
                           "--header", '{"h": 10}')[1]
+
+
+# constraints whose values do not fit an 8-bit field, or whose range is
+# reversed: each used to get past the parser and exit 3 from match_all
+OUT_OF_RANGE = {
+    "exact-300": ({"kind": "exact", "value": 300}, "exact value 300 vs width 8"),
+    "exact-minus-1": ({"kind": "exact", "value": -1}, "exact value -1 vs width 8"),
+    "prefix-999": ({"kind": "prefix", "value": 999, "length": 4},
+                   "prefix value 999 vs width 8"),
+    "range-9-3": ({"kind": "range", "lo": 9, "hi": 3}, "range [9,3] vs width 8"),
+    "range-0-256": ({"kind": "range", "lo": 0, "hi": 256}, "range [0,256] vs width 8"),
+}
+
+
+@pytest.mark.parametrize("constraint, message", OUT_OF_RANGE.values(),
+                         ids=OUT_OF_RANGE.keys())
+def test_out_of_range_constraint_is_usage_error(capsys, tmp_path, constraint, message):
+    doc = _edit(TWO_BOX_DOC, ("layout", 0, "width"), 8)
+    doc = _edit(doc, ("boxes", 1, "rules", 0, "match"), [{"field": "h", **constraint}])
+    path = tmp_path / "bad.json"
+    path.write_bytes(doc_bytes(doc))
+    code, _, err = run(capsys, "compile", "--snapshot", str(path))
+    assert code == 1
+    assert f"box 's2' rule: {message}" in err
+
+
+def _wide_doc(width):
+    """A rewriter and a switch on one field of the given width, whose
+    matches all test its last bit."""
+    top = (1 << width) - 1
+    x = {"field": "x"}
+    return {
+        "layout": [{"name": "x", "width": width}],
+        "boxes": [
+            {"id": "a", "kind": "rewriter", "ports": ["ext", "p"],
+             "rules": [
+                 {"priority": 2, "match": [{**x, "kind": "exact", "value": top}],
+                  "action": "drop"},
+                 {"priority": 1, "match": [{**x, "kind": "range", "lo": 1, "hi": top - 1}],
+                  "action": {"forward": "p"}}],
+             "acls": [{"port": "ext", "dir": "in", "default": "permit", "entries": [
+                 {"match": [{**x, "kind": "exact", "value": top - 2}], "verdict": "deny"}]}],
+             "rewrite": {"match": [{**x, "kind": "range", "lo": 5, "hi": top - 5}],
+                         "sets": [{"field": "x", "value": 3}]}},
+            {"id": "b", "ports": ["q", "out"],
+             "rules": [{"priority": 1, "match": [{**x, "kind": "range", "lo": 2, "hi": top - 3}],
+                        "action": {"forward": "out"}}]},
+        ],
+        "links": [["a", "p", "b", "q"]],
+    }
+
+
+def _run_every_command(capsys, monkeypatch, tmp_path, width) -> dict:
+    """Each snapshot command's (exit code, stderr) on _wide_doc(width)."""
+    top = (1 << width) - 1
+    snap, upd = tmp_path / "wide.json", tmp_path / "upd.jsonl"
+    snap.write_bytes(doc_bytes(_wide_doc(width)))
+    pred = [{"field": "x", "kind": "range", "lo": 7, "hi": top - 9}]
+    upd.write_text(json.dumps({"op": "add", "pred": pred}) + "\n"
+                   + json.dumps({"op": "remove", "pred": pred}) + "\n")
+    header = json.dumps({"x": top - 4})
+    commands = {
+        "compile": [], "atoms": [], "tree-stats": [], "classify": ["--header", header],
+        "trace": [], "update": ["--updates", str(upd)], "labels": [],
+        "check": ["--sample", "20"],
+    }
+    out = {}
+    for name, extra in commands.items():
+        monkeypatch.setattr(sys, "stdin", io.StringIO(
+            json.dumps({"header": {"x": top - 4}, "ingress": ["a", "ext"]}) + "\n"))
+        code, _, err = run(capsys, name, "--snapshot", str(snap), *extra)
+        out[name] = (code, err)
+    return out
+
+
+class TestLayoutWidth:
+    """Layouts are capped below the width at which the BDD recursions run
+    out of interpreter frames (500 bits exited 3 from compile and check)."""
+
+    def test_every_command_works_at_the_bound(self, capsys, monkeypatch, tmp_path):
+        results = _run_every_command(capsys, monkeypatch, tmp_path, MAX_WIDTH)
+        assert {name: code for name, (code, _) in results.items()} == dict.fromkeys(results, 0)
+
+    def test_one_bit_past_the_bound_is_usage_error(self, capsys, monkeypatch, tmp_path):
+        results = _run_every_command(capsys, monkeypatch, tmp_path, MAX_WIDTH + 1)
+        for code, err in results.values():
+            assert code == 1
+            assert f"layout is {MAX_WIDTH + 1} bits wide" in err
+
+    def test_ipv6_five_tuple_is_valid(self):
+        layout = HeaderLayout((("src", 128), ("dst", 128), ("proto", 8), ("sport", 16),
+                               ("dport", 16)))
+        assert layout.total_width == 296
 
 
 class TestBenchAndExitCodes:
