@@ -281,9 +281,10 @@ def refine(atom_set: AtomSet, p: Predicate) -> tuple[AtomSet, dict[int, tuple[in
     outside it and those that straddle it; only the straddled ones are
     split, by one Engine.split each.  Atoms fully inside or outside p keep
     their ids, and split atoms get fresh ids in atom order, appended to the
-    line and logged.  Other sources' bits are left as recorded: each child is contained in
-    its parent, so implication is inherited, and readers replay the log.
-    The index replaces each split terminal by ite(p, inside, outside).
+    line and logged.  Other sources' bits are left as recorded: each child
+    is contained in its parent, so implication is inherited, and readers
+    replay the log.  The index replaces each split terminal by
+    ite(p, inside, outside).
     """
     engine = atom_set.engine
     if p.engine is not engine:

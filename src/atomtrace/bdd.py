@@ -60,8 +60,8 @@ MAX_WIDTH = 384
 
 @dataclass(frozen=True)
 class HeaderLayout:
-    """Ordered (name, width) fields defining the header bit space, at most
-    MAX_WIDTH bits in all."""
+    """Ordered (name, width) fields, at most MAX_WIDTH bits, defining the
+    header bit space."""
 
     fields: tuple[tuple[str, int], ...]
 
@@ -104,9 +104,8 @@ class HeaderLayout:
         return self._field(name)[0]
 
     def interval(self, c: "FieldConstraint") -> tuple[int, int]:
-        """The values [lo, hi] of c's field that c matches.  Raises
-        ValueOutOfRange when a value or a prefix length does not fit the
-        field, or a range is reversed."""
+        """The values [lo, hi] of c's field that c matches; ValueOutOfRange
+        when a value or prefix length does not fit or a range is reversed."""
         width = self.field_width(c.field)
         if c.kind == "exact":
             if c.value is None or not 0 <= c.value < (1 << width):

@@ -125,31 +125,33 @@ def _parse_constraint(obj: dict, layout: HeaderLayout, where: str) -> FieldConst
     except KeyError:
         raise BadConstraint(f"{where}: unknown field {fname!r}")
     if kind == "exact":
-        c = FieldConstraint.exact(fname, _parse_value(obj.get("value"), width, where))
-    elif kind == "prefix":
+        return FieldConstraint.exact(fname, _parse_value(obj.get("value"), width, where))
+    if kind == "prefix":
         length = obj.get("length")
         if not _is_int(length):
             raise BadConstraint(f"{where}: bad prefix length {length!r}")
-        c = FieldConstraint.prefix(fname, _parse_value(obj.get("value"), width, where), length)
-    elif kind == "range":
-        c = FieldConstraint.range_(
+        return FieldConstraint.prefix(
+            fname, _parse_value(obj.get("value"), width, where), length
+        )
+    if kind == "range":
+        return FieldConstraint.range_(
             fname,
             _parse_value(obj.get("lo"), width, where),
             _parse_value(obj.get("hi"), width, where),
         )
-    else:
-        raise BadConstraint(f"{where}: unknown constraint kind {kind!r}")
-    try:
-        layout.interval(c)
-    except ValueOutOfRange as e:
-        raise BadConstraint(f"{where}: {e}") from e
-    return c
+    raise BadConstraint(f"{where}: unknown constraint kind {kind!r}")
 
 
 def _parse_match(objs, layout, where) -> tuple[FieldConstraint, ...]:
     if not isinstance(objs, list):
         raise BadConstraint(f"{where}: match must be a list")
-    return tuple(_parse_constraint(o, layout, where) for o in objs)
+    match = tuple(_parse_constraint(o, layout, where) for o in objs)
+    try:
+        for c in match:
+            layout.interval(c)
+    except ValueOutOfRange as e:
+        raise BadConstraint(f"{where}: {e}") from e
+    return match
 
 
 def _objects(parent: dict, key: str, where: str) -> list[dict]:

@@ -491,7 +491,7 @@ class TestLayoutWidth:
 
     def test_every_command_works_at_the_bound(self, capsys, monkeypatch, tmp_path):
         results = _run_every_command(capsys, monkeypatch, tmp_path, MAX_WIDTH)
-        assert {name: code for name, (code, _) in results.items()} == dict.fromkeys(results, 0)
+        assert [(name, err) for name, (code, err) in results.items() if code != 0] == []
 
     def test_one_bit_past_the_bound_is_usage_error(self, capsys, monkeypatch, tmp_path):
         results = _run_every_command(capsys, monkeypatch, tmp_path, MAX_WIDTH + 1)
