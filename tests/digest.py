@@ -29,7 +29,7 @@ from atomtrace.aptree import Internal, PublishedClassifier
 from atomtrace.model import _parse_match, parse_snapshot
 from atomtrace.pipeline import Pipeline, build_pipeline
 from atomtrace.workload import WorkloadSpec, generate, snapshot_bytes
-from tests.test_label_plane import nat_doc
+from tests.test_label_plane import multi_field_doc, nat_doc
 
 GOLDEN = Path(__file__).with_name("digests.json")
 LABEL_KEY = 7
@@ -132,8 +132,11 @@ def _spec(snapshot: str, updates: int) -> WorkloadSpec:
 # rebuilds on the count trigger after updates 256 and 512.  query's snapshot
 # is the query one with its 3 NAT boxes (nat_doc); the generator draws the
 # updates after the snapshot, so the stream does not change the snapshot.
+# multi-field is that snapshot with a fifth of its rules also constrained on
+# src, dport and proto (multi_field_doc), under query's stream.
 WORKLOADS = {
     "query": ("nat", 100, (0, 1, 25, 50, 75, 100)),
+    "multi-field": ("multi", 100, (0, 100)),
     "live-update": ("query", 700, (0, 1, 100, 255, 256, 257, 511, 512, 513, 700)),
     "build-large": ("large", 40, (0, 1, 20, 40)),
 }
@@ -147,6 +150,8 @@ def workload_digests(name: str) -> dict:
     doc, updates, _ = generate(_spec(snapshot, count))
     if snapshot == "nat":
         doc = nat_doc()
+    elif snapshot == "multi":
+        doc = multi_field_doc()
     pipe = build_pipeline(parse_snapshot(snapshot_bytes(doc)))
     layout = pipe.snapshot.layout
     rng = random.Random(f"digest:{name}")

@@ -414,6 +414,30 @@ def nat_doc(acl_entry=None):
     return doc
 
 
+def multi_field_doc(share=0.2):
+    """nat_doc with a share of its rules narrowed on three more fields.
+    Rule by rule, in box order, random.Random(5) draws random() < share;
+    a chosen rule also gets a src prefix of length 1-12, a dport range
+    (lo uniform in 0-65,535, width 1-4,096, clipped at 65,535) and proto
+    6 or 17."""
+    doc = nat_doc()
+    rng = random.Random(5)
+    for box in doc["boxes"]:
+        for rule in box["rules"]:
+            if rng.random() >= share:
+                continue
+            length = rng.randint(1, 12)
+            src = rng.getrandbits(length) << (32 - length)
+            lo = rng.randint(0, 65535)
+            hi = min(lo + rng.randint(1, 4096) - 1, 65535)
+            rule["match"] += [
+                {"field": "src", "kind": "prefix", "value": src, "length": length},
+                {"field": "dport", "kind": "range", "lo": lo, "hi": hi},
+                {"field": "proto", "kind": "exact", "value": rng.choice((6, 17))},
+            ]
+    return doc
+
+
 def src_and_dst_entry(box):
     """Deny src in the NAT constant's /1 and dst in a /14 inside the NAT
     match.  Rules are at most /12, so the /14 cuts a dst cell in two, and
