@@ -11,8 +11,6 @@ with a predicate's BDD stop wherever the predicate is constant.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .bdd import FALSE, TRUE, Engine
 
 
@@ -54,39 +52,6 @@ class IndexStore:
         if lo == hi:
             return lo
         return self._add((var, lo, hi), self.bits[lo] | self.bits[hi])
-
-    def build(self, engine: Engine, atoms: Iterable[tuple[int, int]]) -> int:
-        """The index of (atom id, BDD node) pairs that partition the space.
-
-        grow(vec) splits the atoms still possible -- vec holds their (id,
-        cofactor) pairs -- at their lowest top variable and drops those
-        that fall to false; one atom left covers the whole subcube.
-        Memoised on vec, so each distinct vec is one node.
-        """
-        var, lo, hi = engine._var, engine._lo, engine._hi
-        memo: dict[tuple[tuple[int, int], ...], int] = {}
-
-        def side(vec, v, child):
-            out = []
-            for a, n in vec:
-                if var[n] == v:
-                    n = child[n]
-                if n != FALSE:
-                    out.append((a, n))
-            return tuple(out)
-
-        def grow(vec):
-            r = memo.get(vec)
-            if r is None:
-                if len(vec) == 1:
-                    r = self.leaf(vec[0][0])
-                else:
-                    v = min(var[n] for _, n in vec)
-                    r = self.node(v, grow(side(vec, v, lo)), grow(side(vec, v, hi)))
-                memo[vec] = r
-            return r
-
-        return grow(tuple(atoms))
 
     def lookup(self, root: int, bits: tuple[int, ...]) -> int:
         """The atom id of the header with these bits."""

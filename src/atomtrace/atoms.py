@@ -186,83 +186,118 @@ def ids_of(bits: int) -> Iterator[int]:
 
 
 def compute_atoms(engine: Engine, preds: Sequence[Predicate]) -> AtomSet:
-    """The atoms of preds, read off all their BDDs in one memoised recursion.
+    """The atoms of preds, their membership and their index, read off all
+    their BDDs in one memoised recursion.
 
     A cell is the set of headers on which exactly the same preds hold, so
-    it is named by its membership signature.  cells(vec) walks the preds
-    still undecided -- vec holds their (bit, node) pairs -- splitting all of
-    them at their lowest top variable: a node that reaches true sets its
-    bit, one that reaches false drops out.  It returns {signature: node} for
-    the cells below, joined over the two sides by one node each, so the
-    build creates only the atoms' own nodes and no op-cache entries.  Equals
-    refinement by preds in order (Yang & Lam) -- ids, predicates, order and
-    membership; see _atom_set for the order.
+    it is named by its membership signature.  cells(vec, v) walks the preds
+    still undecided -- vec holds their (bit, node) pairs, v is their lowest
+    top variable -- and splits all of them at v in one pass: a node that
+    reaches true sets its bit on that side, one that reaches false drops
+    out.  The cells below are {signature: node}, joined over the two sides
+    by one node each, so the build creates only the atoms' own nodes and no
+    op-cache entries.  Each memoised vec is a record: its variable and, per
+    side, the child record and the signature bits set there.  The index is
+    one walk over those records and the signature so far.
+
+    Equals refinement by preds in order (Yang & Lam) -- ids, predicates,
+    order and membership.  Refinement lists each atom's inside before its
+    outside, first pred deciding first; so atoms are ordered by the preds
+    they lie *outside*, first pred most significant: by descending
+    signature, whose bits are the atom's row of the membership.
     """
     for p in preds:
         if p.engine is not engine:
             raise EngineMismatch("predicate from a different engine")
-    var, lo, hi, mk = engine._var, engine._lo, engine._hi, engine._mk
-    memo: dict[tuple[tuple[int, int], ...], dict[int, int]] = {(): {0: TRUE}}
+    var, lo, hi, mk, width = engine._var, engine._lo, engine._hi, engine._mk, engine.width
+    # record k: below[k] is {signature: node} under it, split[k] is (v, off
+    # record, off bits, on record, on bits); record 0 is the empty vec
+    memo: dict[tuple[tuple[int, int], ...], int] = {(): 0}
+    below: list[dict[int, int]] = [{0: TRUE}]
+    split: list[Optional[tuple[int, int, int, int, int]]] = [None]
 
-    def split(vec, v, side):
-        sig, rest = 0, []
-        for bit, n in vec:
-            if var[n] == v:
-                n = side[n]
-            if n == TRUE:
-                sig |= bit
-            elif n != FALSE:
-                rest.append((bit, n))
-        below = cells(tuple(rest))
-        return {s | sig: c for s, c in below.items()} if sig else below
-
-    def cells(vec):
-        out = memo.get(vec)
-        if out is None:
-            v = min(var[n] for _, n in vec)
-            off, on = split(vec, v, lo), split(vec, v, hi)
+    def cells(vec, v):
+        k = memo.get(vec)
+        if k is None:
+            bits0 = bits1 = 0
+            vec0, vec1 = [], []
+            v0 = v1 = width
+            for e in vec:
+                bit, n = e
+                w = var[n]
+                if w != v:
+                    vec0.append(e)
+                    vec1.append(e)
+                    if w < v0:
+                        v0 = w
+                    if w < v1:
+                        v1 = w
+                    continue
+                n0, n1 = lo[n], hi[n]
+                if n0 == TRUE:
+                    bits0 |= bit
+                elif n0 != FALSE:
+                    vec0.append((bit, n0))
+                    if var[n0] < v0:
+                        v0 = var[n0]
+                if n1 == TRUE:
+                    bits1 |= bit
+                elif n1 != FALSE:
+                    vec1.append((bit, n1))
+                    if var[n1] < v1:
+                        v1 = var[n1]
+            k0 = cells(tuple(vec0), v0)
+            k1 = cells(tuple(vec1), v1)
+            off, on = below[k0], below[k1]
+            if bits0:
+                off = {s | bits0: c for s, c in off.items()}
+            if bits1:
+                on = {s | bits1: c for s, c in on.items()}
             out = {s: mk(v, c, on.get(s, FALSE)) for s, c in off.items()}
             for s, c in on.items():
                 if s not in off:
                     out[s] = mk(v, FALSE, c)
-            memo[vec] = out
-        return out
+            k = memo[vec] = len(below)
+            below.append(out)
+            split.append((v, k0, bits0, k1, bits1))
+        return k
 
     n = len(preds)
-    top = [(_pred_bit(k, n), p.node) for k, p in enumerate(preds)]
-    # at the terminals' sentinel variable only true and false split, each
-    # to itself: this sorts out the constant preds
-    found = split(top, engine.width, lo)
-    return _atom_set(engine, preds, {s: Predicate(engine, c) for s, c in found.items()})
+    # the first pred's bit is the signature's top bit; constant preds are
+    # decided before the walk
+    top, vec, v = 0, [], width
+    for j, p in enumerate(preds):
+        bit = 1 << (n - 1 - j)
+        if p.node == TRUE:
+            top |= bit
+        elif p.node != FALSE:
+            vec.append((bit, p.node))
+            v = min(v, var[p.node])
+    root = cells(tuple(vec), v)
 
+    found = below[root]
+    if top:
+        found = {s | top: c for s, c in found.items()}
+    sigs = sorted(found, reverse=True)
+    line = AtomLine(engine, [Predicate(engine, found[s]) for s in sigs])
+    # membership is the transpose of the signatures: pred j's bitset is
+    # column j of their binary rows, the last atom's row first
+    rows = [format(s, f"0{n}b") for s in reversed(sigs)]
+    members = {p.node: int("".join(col), 2) for p, col in zip(preds, zip(*rows))}
 
-def _pred_bit(k: int, n: int) -> int:
-    """The signature bit of the k-th of n preds: the first is the top bit."""
-    return 1 << (n - 1 - k)
+    store, atom_id = line.store, {s: j for j, s in enumerate(sigs)}
+    nodes: dict[tuple[int, int], int] = {}
 
+    def index(k, sig):
+        if k == 0:
+            return store.leaf(atom_id[sig])
+        r = nodes.get((k, sig))
+        if r is None:
+            v, k0, bits0, k1, bits1 = split[k]
+            r = nodes[k, sig] = store.node(v, index(k0, sig | bits0), index(k1, sig | bits1))
+        return r
 
-def _atom_set(
-    engine: Engine, preds: Sequence[Predicate], cells: dict[int, Predicate]
-) -> AtomSet:
-    """The AtomSet of cells keyed by membership signature over preds, as
-    the base of a fresh line.
-
-    Refinement by preds in order lists each atom's inside before its
-    outside, first pred deciding first; so atoms are ordered by the preds
-    they lie *outside*, first pred most significant: by descending
-    signature.  Membership is read off the signature bits.
-    """
-    n = len(preds)
-    sigs = sorted(cells, reverse=True)
-    members = [0] * n
-    for j, s in enumerate(sigs):
-        while s:
-            low = s & -s
-            members[n - low.bit_length()] |= 1 << j
-            s ^= low
-    line = AtomLine(engine, [cells[s] for s in sigs])
-    index = line.store.build(engine, ((j, cells[s].node) for j, s in enumerate(sigs)))
-    return AtomSet(engine, line, {p.node: members[k] for k, p in enumerate(preds)}, None, index)
+    return AtomSet(engine, line, members, None, index(root, top))
 
 
 def atom_of_header(atom_set: AtomSet, h: Header) -> int:

@@ -51,10 +51,12 @@ def field_int(name: str, value) -> int:
     return int(value)
 
 
-# The widest layout.  Engine.first_match and atoms.compute_atoms recurse
-# twice per header bit, and a 500-bit layout ran past the interpreter's
-# default limit of 1,000 frames; 384 bits leaves room for the caller's own
-# frames and keeps the IPv6 5-tuple (296 bits) valid.
+# The widest layout.  The boolean ops built on Engine._apply (and, or,
+# diff) recurse twice per header bit and set the budget; Engine.first_match,
+# atoms.compute_atoms and its index walk take one frame per bit.  A 500-bit
+# layout ran past the interpreter's default limit of 1,000 frames; 384 bits
+# leaves room for the caller's own frames and keeps the IPv6 5-tuple (296
+# bits) valid.
 MAX_WIDTH = 384
 
 
@@ -310,17 +312,29 @@ class Engine:
     def _span(self, off: int, width: int, lo: int, hi: int, tail: int) -> int:
         """Headers whose width bits from variable off hold a value in
         [lo, hi] and that satisfy tail, which tests only later variables.
-        Each level splits the interval at its middle, and only the halves
-        that hold an end of it recurse, so the walk is two chains."""
-        if lo == 0 and hi == (1 << width) - 1:
-            return tail
-        half = 1 << (width - 1)
-        low = self._span(off + 1, width - 1, lo, min(hi, half - 1), tail) if lo < half else FALSE
-        high = (
-            self._span(off + 1, width - 1, max(lo, half) - half, hi - half, tail)
-            if hi >= half else FALSE
-        )
-        return self._mk(off, low, high)
+
+        Above the highest bit where lo and hi differ, every bit is fixed to
+        lo's.  Below it hang two chains: lo's end of the interval on its 0
+        branch and hi's end on its 1 branch, each starting at its lowest bit
+        that leaves the values below free.  Both chains and then the fixed
+        bits are built bottom-up, so the nodes are made in the order of the
+        top-down recursion that splits the interval at its middle."""
+        mk = self._mk
+        last = off + width - 1  # the variable of the field's lowest bit
+        d = (lo ^ hi).bit_length()
+        free = (1 << d) - 1
+        node = tail
+        if lo & free or ~hi & free:
+            low = high = tail
+            x, y = lo & (free >> 1), hi & (free >> 1)
+            for i in range((x & -x).bit_length() - 1 if x else d - 1, d - 1):
+                low = mk(last - i, FALSE, low) if lo >> i & 1 else mk(last - i, low, tail)
+            for i in range(((y + 1) & ~y).bit_length() - 1, d - 1):
+                high = mk(last - i, tail, high) if hi >> i & 1 else mk(last - i, high, FALSE)
+            node = mk(last - d + 1, low, high)
+        for i in range(d, width):
+            node = mk(last - i, FALSE, node) if lo >> i & 1 else mk(last - i, node, FALSE)
+        return node
 
     # -- boolean algebra -------------------------------------------------
 
@@ -380,49 +394,72 @@ class Engine:
         the result.
 
         One memoised recursion over all the entries' BDDs, as in
-        atoms.compute_atoms: won(vec) walks the entries still undecided --
-        vec holds their (action, node) pairs, in order -- splitting all of
-        them at their lowest top variable.  A node that reaches true ends
-        the vec there, one that reaches false drops out, and so do the
-        None entries at its end.  It returns {action: node} for the headers
-        below, joined over the two sides by one node each, so the call
-        creates only its results' nodes and no op-cache entries.
+        atoms.compute_atoms: won(vec, v) walks the entries still undecided
+        -- vec holds their (action, node) pairs, in order, and v is their
+        lowest top variable -- and splits all of them at v in one pass.  On
+        each side a node that reaches true ends the vec there, one that
+        reaches false drops out, and so do the None entries at its end; a
+        side left with one entry is decided.  It returns {action: node} for
+        the headers below, joined over the two sides by one node each, so
+        the call creates only its results' nodes and no op-cache entries.
         """
         self._check(*(p for _, p in entries))
-        var, lo, hi, mk = self._var, self._lo, self._hi, self._mk
-        memo: dict[tuple[tuple[Hashable, int], ...], dict] = {(): {}}
+        var, lo, hi, mk, width = self._var, self._lo, self._hi, self._mk, self.width
+        memo: dict[tuple[tuple[Hashable, int], ...], dict] = {}
 
-        def side(vec, v, branch):
-            rest = []
-            for a, n in vec:
-                if var[n] == v:
-                    n = branch[n]
-                if n != FALSE:
-                    rest.append((a, n))
-                    if n == TRUE:
-                        break
+        def trim(rest: list) -> int:
+            """Drop the None entries at the end of rest, which ends in one;
+            the lowest top variable of what is left."""
             while rest and rest[-1][0] is None:
                 rest.pop()
-            return won(tuple(rest))
+            return min((var[n] for _, n in rest), default=width)
 
-        def won(vec):
+        def won(vec, v):
             out = memo.get(vec)
             if out is None:
-                if len(vec) == 1:
-                    out = dict(vec)
-                else:
-                    v = min(var[n] for _, n in vec)
-                    off, on = side(vec, v, lo), side(vec, v, hi)
-                    out = {a: mk(v, c, on.get(a, FALSE)) for a, c in off.items()}
-                    for a, c in on.items():
-                        if a not in off:
-                            out[a] = mk(v, FALSE, c)
+                rest0, rest1 = [], []
+                v0 = v1 = width
+                done0 = done1 = False
+                for a, n in vec:
+                    n0, n1 = (lo[n], hi[n]) if var[n] == v else (n, n)
+                    if not done0 and n0 != FALSE:
+                        rest0.append((a, n0))
+                        if n0 == TRUE:
+                            done0 = True
+                        elif var[n0] < v0:
+                            v0 = var[n0]
+                    if not done1 and n1 != FALSE:
+                        rest1.append((a, n1))
+                        if n1 == TRUE:
+                            done1 = True
+                        elif var[n1] < v1:
+                            v1 = var[n1]
+                    if done0 and done1:
+                        break
+                if rest0 and rest0[-1][0] is None:
+                    v0 = trim(rest0)
+                if rest1 and rest1[-1][0] is None:
+                    v1 = trim(rest1)
+                off = won(tuple(rest0), v0) if len(rest0) > 1 else dict(rest0)
+                on = won(tuple(rest1), v1) if len(rest1) > 1 else dict(rest1)
+                out = {a: mk(v, c, on.get(a, FALSE)) for a, c in off.items()}
+                for a, c in on.items():
+                    if a not in off:
+                        out[a] = mk(v, FALSE, c)
                 memo[vec] = out
             return out
 
-        # at the terminals' sentinel variable only true and false split,
-        # each to itself: this sorts out the constant entries
-        found = side([(a, p.node) for a, p in entries], self.width, lo)
+        # constant entries are decided before the walk
+        rest, v = [], width
+        for a, p in entries:
+            if p.node != FALSE:
+                rest.append((a, p.node))
+                if p.node == TRUE:
+                    break
+                v = min(v, var[p.node])
+        if rest and rest[-1][0] is None:
+            v = trim(rest)
+        found = won(tuple(rest), v) if len(rest) > 1 else dict(rest)
         return {a: Predicate(self, n) for a, n in found.items()}
 
     def _and(self, a: int, b: int) -> int:

@@ -194,6 +194,39 @@ def path_copied(tree: aptree.APTree) -> PathCopiedTree:
                           sum(d for _, d in reference_leaves(tree)))
 
 
+def reference_index(store, engine, pairs) -> int:
+    """The root, in store, of the atom index of (atom id, BDD node) pairs
+    that partition the header space, by its own recursion over the atoms'
+    BDDs: grow(vec) splits the atoms still possible -- vec holds their (id,
+    cofactor) pairs -- at their lowest top variable and drops those that
+    fall to false; one atom left covers the whole subcube.  The store is
+    hash-consed, so an index equal to this one has the same root."""
+    var, lo, hi = engine._var, engine._lo, engine._hi
+    memo = {}
+
+    def side(vec, v, child):
+        out = []
+        for a, n in vec:
+            if var[n] == v:
+                n = child[n]
+            if n != 0:
+                out.append((a, n))
+        return tuple(out)
+
+    def grow(vec):
+        r = memo.get(vec)
+        if r is None:
+            if len(vec) == 1:
+                r = store.leaf(vec[0][0])
+            else:
+                v = min(var[n] for _, n in vec)
+                r = store.node(v, grow(side(vec, v, lo)), grow(side(vec, v, hi)))
+            memo[vec] = r
+        return r
+
+    return grow(tuple(pairs))
+
+
 def reference_classify(tree, h) -> int:
     """One walk from the root to the leaf whose tests the header passes."""
     engine = tree.atom_set.engine

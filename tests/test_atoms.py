@@ -15,7 +15,7 @@ from atomtrace.bdd import Engine, EngineMismatch, FieldConstraint, HeaderLayout
 from atomtrace.model import compile_network, parse_snapshot
 from atomtrace.pipeline import build_pipeline
 from atomtrace.workload import WorkloadSpec, generate
-from tests.conftest import doc_bytes
+from tests.conftest import doc_bytes, reference_index
 from tests.test_label_plane import nat_doc, src_and_dst_entry
 
 
@@ -295,6 +295,22 @@ def test_compute_atoms_equals_refinement(layout, data):
         assert aset.atom_of(h) == atom_of_header(aset, h)
 
 
+def assert_index_is_reference(aset):
+    # the store is hash-consed, so the reference recursion over the atoms'
+    # BDDs, run in the same store, returns the root of an equal index
+    pairs = [(i, aset.pred_of(i).node) for i in aset.order]
+    assert reference_index(aset.store, aset.engine, pairs) == aset.index
+
+
+@pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_compute_atoms_index_equals_reference(layout, data):
+    engine = Engine(layout)
+    masks = data.draw(header_set_lists(layout.total_width))
+    assert_index_is_reference(compute_atoms(engine, [pred_of_headers(engine, m) for m in masks]))
+
+
 @pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
@@ -309,7 +325,7 @@ def test_refine_keeps_the_index_exact(layout, data):
         for h in layout.all_headers():
             assert aset.atom_of(h) == atom_of_header(aset, h)
         pairs = ((i, aset.pred_of(i).node) for i in aset.order)
-        assert aset.store.build(engine, pairs) == aset.index
+        assert reference_index(aset.store, engine, pairs) == aset.index
 
 
 def live_update_doc():
@@ -338,6 +354,15 @@ class TestComputeAtomsOnSnapshots:
         engine = Engine(snap.layout)
         preds = compile_network(snap, engine).all_preds
         assert_same_atoms(compute_atoms(engine, preds), reference_atoms(engine, preds))
+
+    @pytest.mark.parametrize(
+        "make_doc", [nat_doc, live_update_doc, seed_23_doc],
+        ids=["query", "live-update", "seed-23"],
+    )
+    def test_index_equals_reference(self, make_doc):
+        snap = parse_snapshot(doc_bytes(make_doc()))
+        engine = Engine(snap.layout)
+        assert_index_is_reference(compute_atoms(engine, compile_network(snap, engine).all_preds))
 
     def test_rewrite_closure_sources(self):
         # images that straddle atoms add preimages to the compiled predicates
