@@ -41,8 +41,21 @@ class UsageError(Exception):
 _BAD_INPUT = (KeyError, TypeError, ValueError)
 
 
-def _bad_line(lineno: int, e: Exception) -> UsageError:
-    return UsageError(f"line {lineno}: {type(e).__name__}: {e}")
+def _bad_line(lineno: int, e: Exception, source: str = "") -> UsageError:
+    where = f"{source}: line {lineno}" if source else f"line {lineno}"
+    return UsageError(f"{where}: {type(e).__name__}: {e}")
+
+
+def _count(least: int):
+    """An argparse type: an int of at least least."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, not {value}")
+        return value
+
+    return count
 
 
 def _load_pipeline(args) -> Pipeline:
@@ -82,7 +95,7 @@ def _resolve_update_pred(pipe: Pipeline, spec) -> Predicate:
         if "acl" in spec:
             port, direction = spec["acl"]
             return pipe.compiled.acl_preds[(box, port, direction)]
-    raise UsageError(f"bad update predicate {spec!r}")
+    raise TypeError(f"bad update predicate {spec!r}")
 
 
 def cmd_gen(args) -> int:
@@ -215,7 +228,7 @@ def cmd_update(args) -> int:
     )
     latencies = []
     try:
-        f = open(args.updates)
+        f = open(args.updates, "rb")  # json.loads decodes each line inside its try
     except OSError as e:
         raise UsageError(f"cannot read updates {args.updates!r}: {e}")
     with f:
@@ -227,11 +240,12 @@ def cmd_update(args) -> int:
                 op = obj["op"]
                 pred = _resolve_update_pred(pipe, obj["pred"])
             except _BAD_INPUT as e:
-                raise _bad_line(lineno, e) from e
+                raise _bad_line(lineno, e, args.updates) from e
             if op not in ("add", "remove"):
-                raise UsageError(f"line {lineno}: unknown op {op!r}")
+                raise UsageError(f"{args.updates}: line {lineno}: unknown op {op!r}")
             if op == "add" and (pipe.engine.is_true(pred) or pipe.engine.is_false(pred)):
-                raise UsageError(f"line {lineno}: cannot add a constant predicate")
+                raise UsageError(
+                    f"{args.updates}: line {lineno}: cannot add a constant predicate")
             start = time.perf_counter()
             try:
                 (classifier.add if op == "add" else classifier.remove)(pred)
@@ -316,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boxes", type=int, default=4)
     p.add_argument("--rules", type=int, default=8)
     p.add_argument("--layout", choices=["small", "tuple5"], default="tuple5")
-    p.add_argument("--update-count", type=int, default=0)
-    p.add_argument("--sample", type=int, default=100)
+    p.add_argument("--update-count", type=_count(0), default=0)
+    p.add_argument("--sample", type=_count(0), default=100)
     p.add_argument("--out", required=True)
     p.add_argument("--updates-out")
     p.add_argument("--headers-out")
@@ -340,12 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--header", help="single header JSON; otherwise read stdin")
         if name == "update":
             p.add_argument("--updates", required=True)
-            p.add_argument("--rebuild-threshold", type=int, default=256)
+            p.add_argument("--rebuild-threshold", type=_count(1), default=256)
         if name in ("labels", "check"):
             p.add_argument("--key", type=int, default=0)
         if name == "check":
             p.add_argument("--exhaustive", action="store_true")
-            p.add_argument("--sample", type=int, default=1000)
+            p.add_argument("--sample", type=_count(1), default=1000)
 
     return parser
 

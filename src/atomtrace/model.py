@@ -173,6 +173,8 @@ def parse_snapshot(document: Union[bytes, str, dict]) -> NetworkSnapshot:
             doc = json.loads(document)
         except json.JSONDecodeError as e:
             raise SnapshotSyntaxError(f"invalid JSON: {e}") from e
+        except UnicodeDecodeError as e:
+            raise SnapshotSyntaxError(f"invalid text encoding: {e}") from e
     else:
         doc = document
     if not isinstance(doc, dict):

@@ -129,6 +129,14 @@ class TestBasicCommands:
         code, _, err = run(capsys, "compile", "--snapshot", str(path))
         assert code == 1
 
+    def test_non_utf8_snapshot_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(doc_bytes(TWO_BOX_DOC).replace(b'"s2"', b'"s\xff"'))
+        code, out, err = run(capsys, "compile", "--snapshot", str(path))
+        assert code == 1
+        assert out == ""
+        assert "latin.json" in err and "can't decode byte 0xff" in err
+
     def test_unknown_subcommand(self, capsys):
         assert cli.main(["frobnicate"]) == 1
 
@@ -209,6 +217,31 @@ class TestGenAndUpdate:
         assert code == 1
         assert out == ""
         assert message in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("check", "--sample", "0"), "--sample: must be at least 1, not 0"),
+        (("check", "--sample", "-4"), "--sample: must be at least 1, not -4"),
+        (("update", "--rebuild-threshold", "0"), "--rebuild-threshold: must be at least 1"),
+        (("update", "--rebuild-threshold", "-3"), "--rebuild-threshold: must be at least 1"),
+        (("gen", "--sample", "-3"), "--sample: must be at least 0, not -3"),
+        (("gen", "--update-count", "-2"), "--update-count: must be at least 0, not -2"),
+    ])
+    def test_negative_or_empty_count_is_usage_error(
+        self, capsys, snapshot_file, tmp_path, argv, message
+    ):
+        # every other argument is valid, so the count alone is refused
+        upd = tmp_path / "upd.jsonl"
+        upd.write_text("")
+        rest = {
+            "check": ("--snapshot", snapshot_file),
+            "update": ("--snapshot", snapshot_file, "--updates", str(upd)),
+            "gen": ("--out", str(tmp_path / "s.json")),
+        }[argv[0]]
+        code, out, err = run(capsys, *argv, *rest)
+        assert code == 1
+        assert out == ""
+        assert message in err
+        assert not (tmp_path / "s.json").exists()
 
     def test_update_stream(self, capsys, tmp_path):
         snap = tmp_path / "snap.json"
@@ -350,6 +383,19 @@ class TestBadInputLines:
         assert code == 1
         assert len(out.strip().splitlines()) == 1
         assert "line 2" in err and message in err
+
+    def test_update_non_utf8_line(self, capsys, snapshot_file, tmp_path):
+        upd = tmp_path / "upd.jsonl"
+        upd.write_bytes(
+            json.dumps({"op": "remove", "pred": {"box": "s2", "port": "pext"}}).encode()
+            + b"\n\xff\xfe{}\n"
+        )
+        code, out, err = run(
+            capsys, "update", "--snapshot", snapshot_file, "--updates", str(upd)
+        )
+        assert code == 1
+        assert len(out.strip().splitlines()) == 1
+        assert "upd.jsonl: line 2" in err
 
 
 # JSON field values that are not integers: each used to be truncated, or to
