@@ -316,9 +316,9 @@ class Engine:
         Above the highest bit where lo and hi differ, every bit is fixed to
         lo's.  Below it hang two chains: lo's end of the interval on its 0
         branch and hi's end on its 1 branch, each starting at its lowest bit
-        that leaves the values below free.  Both chains and then the fixed
-        bits are built bottom-up, so the nodes are made in the order of the
-        top-down recursion that splits the interval at its middle."""
+        that leaves the values below free.  Both chains, then the fixed
+        bits, are built bottom-up: the order in which a top-down split at
+        the interval's middle makes them, which fixes the node handles."""
         mk = self._mk
         last = off + width - 1  # the variable of the field's lowest bit
         d = (lo ^ hi).bit_length()

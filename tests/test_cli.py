@@ -370,6 +370,7 @@ class TestBadInputLines:
     @pytest.mark.parametrize("bad, message", [
         ({"pred": {"box": "s2", "port": "pext"}}, "KeyError: 'op'"),
         ({"op": "add", "pred": []}, "constant predicate"),
+        ({"op": "add", "pred": 5}, "upd.jsonl: line 2: TypeError: bad update predicate 5"),
     ])
     def test_update_bad_line(self, capsys, snapshot_file, tmp_path, bad, message):
         upd = tmp_path / "upd.jsonl"
