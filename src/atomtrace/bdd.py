@@ -420,8 +420,21 @@ class Engine:
                 rest0, rest1 = [], []
                 v0 = v1 = width
                 done0 = done1 = False
-                for a, n in vec:
-                    n0, n1 = (lo[n], hi[n]) if var[n] == v else (n, n)
+                for e in vec:
+                    a, n = e
+                    w = var[n]
+                    if w != v:
+                        # n does not test v (true ends vec): it goes to both sides
+                        if not done0:
+                            rest0.append(e)
+                            if w < v0:
+                                v0 = w
+                        if not done1:
+                            rest1.append(e)
+                            if w < v1:
+                                v1 = w
+                        continue
+                    n0, n1 = lo[n], hi[n]
                     if not done0 and n0 != FALSE:
                         rest0.append((a, n0))
                         if n0 == TRUE:
