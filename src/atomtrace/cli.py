@@ -47,7 +47,7 @@ def _bad_line(lineno: int, e: Exception, source: str = "") -> UsageError:
 
 
 def _count(least: int):
-    """An argparse type: an int of at least least."""
+    """An argparse type for a count: an int no smaller than least."""
 
     def count(text: str) -> int:
         value = int(text)
