@@ -93,6 +93,45 @@ class IndexStore:
         walk(root, p)
         return inside, outside
 
+    def lands(self, root: int, engine: Engine, p: int, pinned: dict[int, int]) -> int:
+        """The atoms that the headers of BDD node p land in once each
+        variable of pinned is overwritten by its bit, as a bitset, by one
+        product walk.
+
+        At a pinned variable the index follows the bit's branch and p
+        takes both of its own.  The walk stops where p is false, and
+        where p is true and no pinned variable is at or below the index
+        node's; it creates no node of either diagram.
+        """
+        var, lo, hi, bits, width = self.var, self.lo, self.hi, self.bits, self.width
+        pvar, plo, phi = engine._var, engine._lo, engine._hi
+        last = max(pinned, default=-1)
+        reached = 0
+        seen: set[int] = set()
+
+        def walk(n: int, q: int) -> None:
+            nonlocal reached
+            if q == FALSE:
+                return
+            vn = var[n]
+            if vn == width or (q == TRUE and vn > last):
+                reached |= bits[n]
+            elif (key := n << 32 | q) not in seen:
+                seen.add(key)
+                vq = pvar[q]
+                v = vn if vn < vq else vq
+                q0, q1 = (plo[q], phi[q]) if vq == v else (q, q)
+                bit = pinned.get(v)
+                if bit is None:
+                    n0, n1 = (lo[n], hi[n]) if vn == v else (n, n)
+                else:
+                    n0 = n1 = (hi[n] if bit else lo[n]) if vn == v else n
+                walk(n0, q0)
+                walk(n1, q1)
+
+        walk(root, p)
+        return reached
+
     def split(
         self, root: int, engine: Engine, p: int, splits: dict[int, tuple[int, int]]
     ) -> int:

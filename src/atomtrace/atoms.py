@@ -176,6 +176,14 @@ class AtomSet:
         complement; an atom in both straddles p."""
         return self.line.store.meets(self.index, self.engine, p.node)
 
+    def lands(self, p: Predicate, sets: Sequence[tuple[str, int]]) -> int:
+        """Bitset of the atoms that p's headers land in once each (field,
+        value) of sets is written in; one bit iff p's rewrite image lies
+        in a single atom."""
+        return self.line.store.lands(
+            self.index, self.engine, p.node, self.engine.layout.pinned(sets)
+        )
+
 
 def ids_of(bits: int) -> Iterator[int]:
     """The atom ids in a bitset, lowest first."""

@@ -53,10 +53,10 @@ def field_int(name: str, value) -> int:
 
 # The widest layout.  The boolean ops built on Engine._apply (and, or,
 # diff) recurse twice per header bit and set the budget; Engine.first_match,
-# atoms.compute_atoms and its index walk take one frame per bit.  A 500-bit
-# layout ran past the interpreter's default limit of 1,000 frames; 384 bits
-# leaves room for the caller's own frames and keeps the IPv6 5-tuple (296
-# bits) valid.
+# atoms.compute_atoms and the atom index's walks take one frame per bit.  A
+# 500-bit layout ran past the interpreter's default limit of 1,000 frames;
+# 384 bits leaves room for the caller's own frames and keeps the IPv6
+# 5-tuple (296 bits) valid.
 MAX_WIDTH = 384
 
 
@@ -126,6 +126,18 @@ class HeaderLayout:
                 raise ValueOutOfRange(f"range [{c.lo},{c.hi}] vs width {width}")
             return c.lo, c.hi
         raise ValueOutOfRange(f"unknown constraint kind {c.kind!r}")
+
+    def pinned(self, sets: Iterable[tuple[str, int]]) -> dict[int, int]:
+        """{variable: bit} of the header bits that writing each (field,
+        value) of sets fixes; ValueOutOfRange when a value does not fit."""
+        fixed: dict[int, int] = {}
+        for name, value in sets:
+            off, width, _ = self._field(name)
+            if not 0 <= value < (1 << width):
+                raise ValueOutOfRange(f"{name}={value} does not fit {width} bits")
+            for i, bit in enumerate(int_bits(value, width)):
+                fixed[off + i] = bit
+        return fixed
 
     def header(self, values: dict[str, int]) -> "Header":
         """Build a header from per-field values (ints or decimal strings);
@@ -235,17 +247,12 @@ class Engine:
         self._lo = [0, 1]
         self._hi = [0, 1]
         self._unique: dict[tuple[int, int, int], int] = {}
-        # op cache: and/not/or/diff keys are ints packed from the operand
-        # handles (each < 2**32) with a 2-bit op tag -- and 0, not 1, or 2,
-        # diff 3; exists keys are tuples
+        # op cache of the public boolean ops and exists; set-up and updates
+        # never fill it.  and/not/or/diff keys are ints packed from the
+        # operand handles (each < 2**32) with a 2-bit op tag -- and 0, not
+        # 1, or 2, diff 3; exists keys are tuples
         self._cache: dict[int | tuple, int] = {}
         self._count: dict[int, int] = {}
-
-    def clear_cache(self) -> None:
-        """Drop the op cache.  It only memoises construction -- serving
-        reads _var/_lo/_hi -- so build_pipeline empties it once set-up is
-        done; no update or rebuild adds to it."""
-        self._cache.clear()
 
     # -- constants -----------------------------------------------------
 
@@ -571,13 +578,7 @@ class Engine:
         variable is below every fixed one.
         """
         self._check(p)
-        fixed: dict[int, int] = {}
-        for name, value in sets:
-            off, width, _ = self.layout._field(name)
-            if not 0 <= value < (1 << width):
-                raise ValueOutOfRange(f"{name}={value} does not fit {width} bits")
-            for i, bit in enumerate(int_bits(value, width)):
-                fixed[off + i] = bit
+        fixed = self.layout.pinned(sets)
         if not fixed:
             return p
         last = max(fixed)
@@ -611,22 +612,6 @@ class Engine:
         while n > TRUE:
             n = hi[n] if bits[var[n]] else lo[n]
         return n == TRUE
-
-    def witness(self, p: Predicate) -> Header:
-        """One header on which p holds: follow hi unless it is false; bits
-        off the path are 0."""
-        self._check(p)
-        if p.node == FALSE:
-            raise ValueError("the false predicate has no witness")
-        bits = [0] * self.width
-        n = p.node
-        while n > TRUE:
-            if self._hi[n] != FALSE:
-                bits[self._var[n]] = 1
-                n = self._hi[n]
-            else:
-                n = self._lo[n]
-        return Header(tuple(bits))
 
     def implies(self, a: Predicate, b: Predicate) -> bool:
         return self._and(a.node, b.node) == a.node

@@ -3,10 +3,11 @@ trace, update, labels, check.
 
 All input and output is line-delimited JSON; diagnostics go to stderr.
 Exit codes: 0 success, 1 usage or parse error, 2 divergence or invariant
-failure, 3 internal error.  A bad input line (malformed JSON, a missing
-key, an out-of-range field value, an unknown or malformed ingress, an
-unknown op, an added constant predicate) is a usage error: it stops the
-command with exit 1 and a message naming the line.
+failure, 3 internal error.  A bad input line (malformed JSON, too many
+digits or too deep nesting, a missing key, an out-of-range field value,
+an unknown or malformed ingress, an unknown op, an added constant
+predicate) is a usage error: it stops the command with exit 1 and a
+message naming the line.
 """
 
 from __future__ import annotations
@@ -37,8 +38,10 @@ class UsageError(Exception):
 
 
 # what parsing one line of outside input raises when the line is bad
-# (json.JSONDecodeError and bdd.ValueOutOfRange are ValueErrors)
-_BAD_INPUT = (KeyError, TypeError, ValueError)
+# (json.JSONDecodeError, an integer past the digit limit and
+# bdd.ValueOutOfRange are ValueErrors; nesting past the recursion limit is
+# a RecursionError)
+_BAD_INPUT = (KeyError, TypeError, ValueError, RecursionError)
 
 
 def _bad_line(lineno: int, e: Exception, source: str = "") -> UsageError:

@@ -171,10 +171,12 @@ def parse_snapshot(document: Union[bytes, str, dict]) -> NetworkSnapshot:
     if isinstance(document, (bytes, str)):
         try:
             doc = json.loads(document)
-        except json.JSONDecodeError as e:
-            raise SnapshotSyntaxError(f"invalid JSON: {e}") from e
         except UnicodeDecodeError as e:
             raise SnapshotSyntaxError(f"invalid text encoding: {e}") from e
+        except (ValueError, RecursionError) as e:
+            # malformed JSON, an integer past the interpreter's digit limit,
+            # or nesting past its recursion limit
+            raise SnapshotSyntaxError(f"invalid JSON: {e}") from e
     else:
         doc = document
     if not isinstance(doc, dict):

@@ -1,8 +1,8 @@
 """End-to-end wiring: snapshot -> engine -> predicates -> atoms -> tree -> maps.
 
-Rewrite-image predicates are folded into the predicate set until every
-rewriter's image of every matched atom lands inside a single atom, which is
-what makes label rewriting well defined.
+Rewrite preimages are folded into the predicate set until every rewriter's
+image of every matched atom lands inside a single atom, which is what makes
+label rewriting well defined.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .bdd import Engine, Predicate
 from .behavior import BehaviorMap, compile_behavior_map
 from .label_plane import LabelPlane, build_label_plane
 from .model import CompiledNetwork, NetworkSnapshot, compile_network
-from .rewrite import image_atom, rewrite_preimage_pred, touched
 
 _MAX_IMAGE_ROUNDS = 100
 
@@ -60,22 +59,22 @@ def close_over_rewrites(
         straddled = added = False
         for box in rewriters:
             table = rewrites[box.id] = {}
+            sets = box.rewrite.sets
+            # every member lies inside the match, so its image is all of
+            # it rewritten, and one walk of the index names the atoms the
+            # image meets
             for aid in atom_set.members_of(compiled.rewrite_match[box.id]):
-                image, target = image_atom(
-                    engine, atom_set, box.rewrite, atom_set.pred_of(aid)
-                )
-                if target is not None:
-                    table[aid] = target
+                reached = atom_set.lands(atom_set.pred_of(aid), sets)
+                if not reached & (reached - 1):
+                    table[aid] = reached.bit_length() - 1
                     continue
                 # split the source atom by the preimage of every target the
-                # image touches, so each refined cell maps into one atom; the
+                # image meets, so each refined cell maps into one atom; the
                 # targets meet the image in disjoint parts of the pinned
                 # subspace, so no preimage is constant
                 straddled = True
-                for tid in touched(atom_set, image):
-                    pre = rewrite_preimage_pred(
-                        engine, atom_set.pred_of(tid), box.rewrite
-                    )
+                for tid in atom_set.in_order(reached):
+                    pre = engine.restrict(atom_set.pred_of(tid), sets)
                     if pre.node not in known:
                         known.add(pre.node)
                         sources.append(pre)
@@ -98,5 +97,4 @@ def build_pipeline(
     atom_set, rewrites = close_over_rewrites(engine, snapshot, compiled)
     tree = aptree.build(atom_set, strategy=strategy, seed=seed)
     bmap = compile_behavior_map(compiled, atom_set, snapshot, rewrites)
-    engine.clear_cache()
     return Pipeline(snapshot, engine, compiled, atom_set, tree, bmap)

@@ -1,7 +1,15 @@
 import json
+import sys
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
+
+# perfbench/workloads.py holds the benchmark's snapshot recipes; the tests
+# import them rather than keep copies
+PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
+if PERFBENCH not in sys.path:
+    sys.path.append(PERFBENCH)
 
 from atomtrace import Engine, HeaderLayout, aptree, atoms, parse_snapshot
 from atomtrace.aptree import Internal, Leaf

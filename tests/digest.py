@@ -29,7 +29,15 @@ from atomtrace.aptree import Internal, PublishedClassifier
 from atomtrace.model import _parse_match, parse_snapshot
 from atomtrace.pipeline import Pipeline, build_pipeline
 from atomtrace.workload import WorkloadSpec, generate, snapshot_bytes
-from tests.test_label_plane import multi_field_doc, nat_doc
+
+# perfbench/workloads.py holds the snapshot recipes (tests/conftest.py adds
+# the same path under pytest)
+PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
+if PERFBENCH not in sys.path:
+    sys.path.append(PERFBENCH)
+
+import workloads as bench  # noqa: E402
+from tests.test_label_plane import multi_field_doc, nat_doc  # noqa: E402
 
 GOLDEN = Path(__file__).with_name("digests.json")
 LABEL_KEY = 7
@@ -120,11 +128,8 @@ def pipeline_digest(pipe: Pipeline, h: StructuralHash, headers) -> str:
 
 
 def _spec(snapshot: str, updates: int) -> WorkloadSpec:
-    if snapshot == "large":
-        return WorkloadSpec(seed=23, box_count=50, rules_per_box=(100, 200),
-                            prefix_len=(1, 12), update_count=updates, header_samples=0)
-    return WorkloadSpec(seed=2, box_count=30, rules_per_box=(20, 40),
-                        prefix_len=(1, 12), update_count=updates, header_samples=0)
+    w = bench.WORKLOADS["build-large" if snapshot == "large" else "query"]
+    return bench.snapshot_spec(w, w.snapshot_seed, updates)
 
 
 # name: (snapshot, updates, pinned stream positions).  The update counts are

@@ -328,6 +328,34 @@ def test_refine_keeps_the_index_exact(layout, data):
         assert reference_index(aset.store, engine, pairs) == aset.index
 
 
+LANDS_LAYOUTS = {**LAYOUTS, "three fields": HeaderLayout((("a", 3), ("b", 2), ("c", 3)))}
+
+
+@pytest.mark.parametrize("layout", LANDS_LAYOUTS.values(), ids=LANDS_LAYOUTS.keys())
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_lands_names_the_rewritten_headers_atoms(layout, data):
+    # on an index from compute_atoms, refined once more, every atom's
+    # headers with the constants written in land exactly in the atoms
+    # lands names, and the walk makes no node and no op-cache entry
+    engine = Engine(layout)
+    masks = data.draw(header_set_lists(layout.total_width))
+    aset = compute_atoms(engine, [pred_of_headers(engine, m) for m in masks[1:]])
+    if masks:
+        aset, _ = refine(aset, pred_of_headers(engine, masks[0]))
+    names = [n for n, _ in layout.fields]
+    fields = data.draw(st.lists(st.sampled_from(names), unique=True, max_size=len(names)))
+    sets = [(n, data.draw(st.integers(0, (1 << layout.field_width(n)) - 1))) for n in fields]
+    want = dict.fromkeys(aset.order, 0)
+    for h in layout.all_headers():
+        values = {n: layout.field_value(h, n) for n in names}
+        values.update(sets)
+        want[atom_of_header(aset, h)] |= 1 << atom_of_header(aset, layout.header(values))
+    sizes = len(engine._var), len(engine._cache), len(aset.store)
+    assert {i: aset.lands(aset.pred_of(i), sets) for i in aset.order} == want
+    assert (len(engine._var), len(engine._cache), len(aset.store)) == sizes
+
+
 def live_update_doc():
     doc, _, _ = generate(WorkloadSpec(
         2, box_count=30, rules_per_box=(20, 40), prefix_len=(1, 12), header_samples=0

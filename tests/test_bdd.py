@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tests.conftest import live_nodes
 
@@ -311,30 +311,6 @@ def test_sat_count_matches_truth_table(expr):
     engine = Engine(WIDE)
     p = build_pred(engine, expr)
     assert engine.sat_count(p) == len(truth_table(expr))
-
-
-@settings(max_examples=60, deadline=None)
-@given(expressions())
-def test_witness_satisfies_predicate(expr):
-    engine = Engine(WIDE)
-    p = build_pred(engine, expr)
-    assume(not engine.is_false(p))
-    assert engine.eval(p, engine.witness(p))
-
-
-class TestWitness:
-    def test_false_has_no_witness(self, small_engine):
-        with pytest.raises(ValueError):
-            small_engine.witness(small_engine.false_)
-
-    def test_bits_off_the_path_are_zero(self, small_engine):
-        assert small_engine.witness(small_engine.true_).bits == (0, 0, 0, 0)
-        p = small_engine.match(FieldConstraint.prefix("h", 0b0100, 2))
-        assert small_engine.witness(p).bits == (0, 1, 0, 0)
-
-    def test_prefers_the_hi_branch(self, small_engine):
-        p = small_engine.match(FieldConstraint.range_("h", 3, 12))
-        assert small_engine.witness(p).bits == (1, 1, 0, 0)  # 12, the largest
 
 
 @settings(max_examples=60, deadline=None)

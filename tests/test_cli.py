@@ -398,6 +398,37 @@ class TestBadInputLines:
         assert len(out.strip().splitlines()) == 1
         assert "upd.jsonl: line 2" in err
 
+    @pytest.mark.parametrize("command, where, bad", [
+        ("compile", "snapshot",
+         doc_bytes(TWO_BOX_DOC).replace(b'"value": 8', b'"value": ' + b"9" * 5000, 1)),
+        ("compile", "snapshot", b"[" * 200_000),
+        ("trace", "stdin", b"[" * 100_000),
+        ("classify", "stdin", b"[" * 100_000),
+        ("update", "upd.jsonl", b"[" * 100_000),
+    ], ids=["snapshot-digits", "snapshot-depth", "trace-depth", "classify-depth",
+            "update-depth"])
+    def test_digit_or_depth_limit(self, capsys, snapshot_file, monkeypatch, tmp_path,
+                                  command, where, bad):
+        # json.loads raises a plain ValueError past the integer digit limit
+        # and a RecursionError past the nesting limit; both used to exit 3
+        argv = [command, "--snapshot", snapshot_file]
+        if where == "snapshot":
+            path = tmp_path / "deep.json"
+            path.write_bytes(bad)
+            argv[2], named = str(path), "deep.json: invalid JSON"
+        elif where == "stdin":
+            self.stdin(monkeypatch, "\n" + bad.decode() + "\n")
+            named = "line 2"
+        else:
+            path = tmp_path / where
+            path.write_bytes(b"\n" + bad + b"\n")
+            argv += ["--updates", str(path)]
+            named = "upd.jsonl: line 2"
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert named in err
+
 
 # JSON field values that are not integers: each used to be truncated, or to
 # raise OverflowError (exit 3) from int(inf)

@@ -23,9 +23,9 @@ from atomtrace.label_plane import (
 )
 from atomtrace.model import RewriteSpec, compile_network, parse_snapshot
 from atomtrace.pipeline import build_pipeline
-from atomtrace.rewrite import image_atom
-from atomtrace.workload import WorkloadSpec, generate
+from atomtrace.workload import generate
 from tests.conftest import REWRITE_DOC, doc_bytes
+from workloads import WORKLOADS, add_nat_rewriters, snapshot_spec
 
 
 def atoms_by_rep(pipe, *values):
@@ -74,6 +74,8 @@ class TestBuildPlane:
 
 
 class TestRewriteImage:
+    """AtomSet.lands: the atoms a rewriter atom's headers land in."""
+
     def test_clear_top_bit(self):
         layout = HeaderLayout((("hi", 1), ("lo", 3)))
         engine = Engine(layout)
@@ -82,38 +84,27 @@ class TestRewriteImage:
         )  # 10**
         p_other = engine.match(FieldConstraint.exact("hi", 0))  # 0***
         aset = compute_atoms(engine, [p_match, p_other])
-        spec = RewriteSpec(
-            match=(
-                FieldConstraint.exact("hi", 1),
-                FieldConstraint.prefix("lo", 0, 1),
-            ),
-            sets=(("hi", 0),),
-        )
         src = next(i for i in aset.order if aset.pred_of(i) == p_match)
-        image, dst = image_atom(engine, aset, spec, aset.pred_of(src))
-        assert image is None
-        assert aset.pred_of(dst) == p_other
+        dst = next(i for i in aset.order if aset.pred_of(i) == p_other)
+        assert aset.lands(aset.pred_of(src), (("hi", 0),)) == 1 << dst
 
-    def test_non_intersecting_atom_rejected(self):
-        layout = HeaderLayout((("hi", 1), ("lo", 3)))
-        engine = Engine(layout)
-        p_match = engine.match(FieldConstraint.exact("hi", 1))
-        aset = compute_atoms(engine, [p_match])
-        spec = RewriteSpec(match=(FieldConstraint.exact("hi", 1),), sets=(("hi", 0),))
-        outside = next(
-            i for i in aset.order if aset.pred_of(i) == ~p_match
-        )
-        image, dst = image_atom(engine, aset, spec, aset.pred_of(outside))
-        assert engine.is_false(image) and dst is None
+    def test_non_intersecting_atom_rejected(self, rewrite_pipeline):
+        # lands reads no match: the hi=0 atom's headers land in it whatever
+        # the rewrite, but the closure walks only the match's members, so
+        # the atom has no entry in the rewriter's table
+        pipe = rewrite_pipeline
+        (outside,) = atoms_by_rep(pipe, 0b0101)
+        spec = pipe.snapshot.boxes[0].rewrite
+        assert pipe.atom_set.lands(pipe.atom_set.pred_of(outside), spec.sets) == 1 << outside
+        assert outside not in pipe.bmap.atom_rewrite["r1"]
 
     def test_identity_rewrite_is_fixpoint(self):
         layout = HeaderLayout((("hi", 1), ("lo", 3)))
         engine = Engine(layout)
         p_match = engine.match(FieldConstraint.exact("hi", 1))
         aset = compute_atoms(engine, [p_match])
-        spec = RewriteSpec(match=(FieldConstraint.exact("hi", 1),), sets=(("hi", 1),))
         src = next(i for i in aset.order if aset.pred_of(i) == p_match)
-        assert image_atom(engine, aset, spec, aset.pred_of(src)) == (None, src)
+        assert aset.lands(aset.pred_of(src), (("hi", 1),)) == 1 << src
 
     def test_image_split_detected(self):
         layout = HeaderLayout((("hi", 1), ("lo", 3)))
@@ -127,10 +118,11 @@ class TestRewriteImage:
         aset = compute_atoms(engine, [p_match, p_half])
         spec = RewriteSpec(match=(FieldConstraint.exact("hi", 1),), sets=(("hi", 0),))
         src = next(i for i in aset.order if aset.pred_of(i) == p_match)
-        image, dst = image_atom(engine, aset, spec, aset.pred_of(src))
-        assert dst is None
-        assert image == reference_image(engine, aset.pred_of(src), spec)
-        assert not engine.is_false(image)
+        reached = aset.lands(aset.pred_of(src), spec.sets)
+        image = reference_image(engine, aset.pred_of(src), spec)
+        assert reached == sum(1 << i for i in aset.order
+                              if not engine.is_false(image & aset.pred_of(i)))
+        assert reached.bit_count() == 2 and not reached >> src & 1
 
     def test_contained_image_adds_no_node(self):
         layout = HeaderLayout((("src", 4), ("dst", 4)))
@@ -138,12 +130,10 @@ class TestRewriteImage:
         preds = [engine.match(FieldConstraint.prefix("dst", v, n))
                  for v, n in ((0b1000, 1), (0b1100, 2), (0b0010, 3))]
         aset = compute_atoms(engine, preds)
-        spec = RewriteSpec(match=(FieldConstraint.prefix("dst", 0b1000, 1),),
-                           sets=(("src", 0b0110),))
         for aid in aset.members_of(preds[0]):
-            nodes = len(engine._var)
-            assert image_atom(engine, aset, spec, aset.pred_of(aid)) == (None, aid)
-            assert len(engine._var) == nodes
+            sizes = len(engine._var), len(engine._cache), len(aset.store)
+            assert aset.lands(aset.pred_of(aid), (("src", 0b0110),)) == 1 << aid
+            assert (len(engine._var), len(engine._cache), len(aset.store)) == sizes
 
     def test_contained_nat_images_add_no_node(self):
         # perfbench's query snapshot, with each NAT box's src constant
@@ -155,11 +145,11 @@ class TestRewriteImage:
             if box.rewrite is None:
                 continue
             (name, value), = box.rewrite.sets
-            spec = RewriteSpec(box.rewrite.match, ((name, value ^ 0x5A5A5A5A),))
+            sets = ((name, value ^ 0x5A5A5A5A),)
             for aid in aset.members_of(pipe.compiled.rewrite_match[box.id]):
-                nodes = len(engine._var)
-                assert image_atom(engine, aset, spec, aset.pred_of(aid)) == (None, aid)
-                assert len(engine._var) == nodes
+                sizes = len(engine._var), len(engine._cache), len(aset.store)
+                assert aset.lands(aset.pred_of(aid), sets) == 1 << aid
+                assert (len(engine._var), len(engine._cache), len(aset.store)) == sizes
                 checked += 1
         assert checked > 0
 
@@ -328,11 +318,11 @@ class TestPrivacyShape:
                     assert engine.eval(target, Header(tuple(bits)))
 
 
-# --- witness-located images against today's any-atom scan --------------------
+# --- index-located images against an any-atom scan ---------------------------
 
 
 def reference_image(engine, atom, spec):
-    """Rewrite image built independently of atomtrace.rewrite."""
+    """Rewrite image built by projecting and pinning, without the index."""
     image = engine.exists(atom & engine.match_all(spec.match), [f for f, _ in spec.sets])
     for fname, value in spec.sets:
         image = image & engine.match(FieldConstraint.exact(fname, value))
@@ -396,21 +386,15 @@ def nat_doc(acl_entry=None):
     """perfbench's query snapshot: 30 boxes, 3 of them NAT boxes that match
     a /4 dst prefix and set src.  acl_entry, when given, becomes the only
     ACL entry of the first NAT box, inbound on its external port."""
-    doc, _, _ = generate(WorkloadSpec(
-        2, box_count=30, rules_per_box=(20, 40), prefix_len=(1, 12), header_samples=0
-    ))
-    rng = random.Random("nat:2")
-    nats = rng.sample(doc["boxes"], 3)
-    for box in nats:
-        box["kind"] = "rewriter"
-        box["rewrite"] = {
-            "match": [{"field": "dst", "kind": "prefix",
-                       "value": rng.getrandbits(4) << 28, "length": 4}],
-            "sets": [{"field": "src", "value": rng.getrandbits(32)}],
-        }
+    w = WORKLOADS["query"]
+    doc, _, _ = generate(snapshot_spec(w, w.snapshot_seed, 0))
+    add_nat_rewriters(doc, w.nat_rewriters, random.Random(f"nat:{w.snapshot_seed}"))
     if acl_entry is not None:
-        nats[0]["acls"] = [{"port": nats[0]["ports"][-1], "dir": "in",
-                            "default": "permit", "entries": [acl_entry(nats[0])]}]
+        # the first box add_nat_rewriters drew: the same draw again
+        rng = random.Random(f"nat:{w.snapshot_seed}")
+        first = rng.sample(doc["boxes"], w.nat_rewriters)[0]
+        first["acls"] = [{"port": first["ports"][-1], "dir": "in",
+                          "default": "permit", "entries": [acl_entry(first)]}]
     return doc
 
 
@@ -450,6 +434,8 @@ def src_and_dst_entry(box):
 
 
 class TestWitnessLocatedImages:
+    """The closure's index-located images against reference_build's scan."""
+
     def assert_matches_reference(self, doc):
         snap = parse_snapshot(doc_bytes(doc))
         engine = Engine(snap.layout)
@@ -499,9 +485,9 @@ class TestClosureTables:
         assert [h.atom for h in report.hops] == [a0, a0]
 
     def test_unsplittable_straddle_raises(self, monkeypatch):
-        monkeypatch.setattr(
-            pipeline, "rewrite_preimage_pred", lambda engine, target, spec: engine.false_
-        )
+        # every preimage is false: the first round adds it, the second finds
+        # nothing new to split by
+        monkeypatch.setattr(Engine, "restrict", lambda self, p, sets: self.false_)
         with pytest.raises(RuntimeError):
             build_pipeline(parse_snapshot(doc_bytes(nat_doc(src_and_dst_entry))))
 

@@ -31,6 +31,7 @@ from tests.conftest import (
     reference_leaves,
 )
 from tests.test_atoms import LAYOUTS, Partition, partition, pred_of_headers
+from tests.test_label_plane import nat_doc
 
 
 def prefix(engine, value, length):
@@ -476,7 +477,7 @@ def test_grafted_updates_equal_path_copying(layout, data):
 class CountedApplies:
     """Counts the engine's public BDD operations while it is installed."""
 
-    OPS = ("conj", "disj", "neg", "diff", "split", "exists", "implies", "witness")
+    OPS = ("conj", "disj", "neg", "diff", "split", "exists", "implies")
 
     def __init__(self, engine, monkeypatch):
         self.calls = dict.fromkeys(self.OPS, 0)
@@ -505,8 +506,7 @@ class TestExactWriterPath:
                 before = len(tree.atom_set)
                 tree = add_predicate(tree, pred)
                 monkeypatch.undo()
-                # one split per straddled atom, and nothing else: no
-                # witness walks the tree
+                # one split per straddled atom, and nothing else
                 split = len(tree.atom_set) - before
                 assert applies.calls == dict(
                     dict.fromkeys(CountedApplies.OPS, 0), split=split
@@ -563,9 +563,14 @@ class TestAtomIndex:
 
 
 class TestOpCacheLifetime:
-    def test_cache_ends_with_each_build_and_rebuild(self):
-        # perfbench's live-update snapshot under a balanced update stream
-        doc, updates, _ = generate(
+    """Set-up, updates and rebuilds make no cached apply: the op cache
+    serves only the public predicate algebra."""
+
+    def assert_cache_stays_empty(self, doc):
+        # perfbench's update stream for the 30-box snapshot, balanced; the
+        # generator draws it after the snapshot, so it applies to any
+        # snapshot made from that one
+        _, updates, _ = generate(
             WorkloadSpec(seed=2, box_count=30, rules_per_box=(20, 40),
                          prefix_len=(1, 12), update_count=2000, add_ratio=0.5,
                          header_samples=0)
@@ -580,16 +585,24 @@ class TestOpCacheLifetime:
         peak = 0
         for op, pred in ops:
             (classifier.add if op == "add" else classifier.remove)(pred)
-            if classifier.rebuilds and classifier.rebuilds[-1]["update"] == classifier.updates:
-                assert len(engine._cache) == 0
             peak = max(peak, len(engine._cache))
         assert classifier.rebuild_count >= 4
-        assert peak < 50_000
+        assert peak == 0
         tree = classifier.tree
         rng = random.Random(3)
         for _ in range(300):
             h = layout.header({name: rng.getrandbits(w) for name, w in layout.fields})
             assert classify(tree, h) == atom_of_header(tree.atom_set, h)
+
+    def test_cache_ends_with_each_build_and_rebuild(self):
+        # perfbench's live-update snapshot: no rewriter
+        doc, _, _ = generate(WorkloadSpec(seed=2, box_count=30, rules_per_box=(20, 40),
+                                          prefix_len=(1, 12), header_samples=0))
+        self.assert_cache_stays_empty(doc)
+
+    def test_nat_snapshot_closure_caches_nothing(self):
+        # perfbench's query snapshot: its 3 NAT boxes run the rewrite closure
+        self.assert_cache_stays_empty(nat_doc())
 
 
 class TestPublishedClassifier:
