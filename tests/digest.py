@@ -11,6 +11,13 @@ depth_sum, and the atom that classify names for each of a fixed sample of
 headers.  A pipeline's digest adds every box table, the rewrite tables and
 the label plane under a fixed key.
 
+Each digest comes in two modes.  The exact one names an atom by its id.
+The renamed one names it by its predicate's structural hash wherever an id
+appears -- order, membership, tree leaves, classify answers, box and
+rewrite tables -- decodes every label to its atom's hash, and leaves out
+next_id and the raw labels.  So a change that only renumbers atoms keeps
+every renamed digest.
+
 Run `python -m tests.digest` from the repository root to print the digests,
 and `python -m tests.digest --write` to rewrite the golden file.  A change
 that rewrites it should say why.
@@ -37,7 +44,7 @@ if PERFBENCH not in sys.path:
     sys.path.append(PERFBENCH)
 
 import workloads as bench  # noqa: E402
-from tests.test_label_plane import multi_field_doc, nat_doc  # noqa: E402
+from tests.test_label_plane import multi_field_doc, nat_doc, src_and_dst_entry  # noqa: E402
 
 GOLDEN = Path(__file__).with_name("digests.json")
 LABEL_KEY = 7
@@ -76,8 +83,16 @@ class StructuralHash:
         return self.node(p.node)
 
 
-def tree_nodes(tree, h: StructuralHash) -> list:
-    """The built tree in preorder: a predicate hash per test, an id per leaf."""
+MODES = ("exact", "renamed")
+
+
+def _namer(aset, h: StructuralHash, mode: str):
+    """How a digest names an atom id: as itself, or by its predicate."""
+    return int if mode == "exact" else lambda i: h(aset.pred_of(i))
+
+
+def tree_nodes(tree, h: StructuralHash, name=int) -> list:
+    """The built tree in preorder: a predicate hash per test, a name per leaf."""
     out, stack = [], [tree.root]
     while stack:
         node = stack.pop()
@@ -85,42 +100,55 @@ def tree_nodes(tree, h: StructuralHash) -> list:
             out.append(h(node.pred))
             stack += [node.false_child, node.true_child]
         else:
-            out.append(node.atom)
+            out.append(name(node.atom))
     return out
 
 
-def version_digest(tree, h: StructuralHash, headers) -> str:
+def version_digest(tree, h: StructuralHash, headers, mode: str = "exact") -> str:
     aset = tree.atom_set
+    name = _namer(aset, h, mode)
+    if mode == "exact":
+        atoms = [[[i, h(aset.pred_of(i))] for i in aset.order], aset.next_id]
+        members = [[h(p), aset.member_bits(p)] for p in aset.sources]
+    else:
+        atoms = [[name(i) for i in aset.order]]
+        members = [[h(p), [name(i) for i in aset.in_order(aset.member_bits(p))]]
+                   for p in aset.sources]
     return _hex(
-        [[i, h(aset.pred_of(i))] for i in aset.order],
-        aset.next_id,
-        [[h(p), aset.member_bits(p)] for p in aset.sources],
-        tree_nodes(tree, h),
-        sorted(aptree.leaves(tree)),
+        *atoms,
+        members,
+        tree_nodes(tree, h, name),
+        sorted((name(i), d) for i, d in aptree.leaves(tree)),
         tree.depth_sum,
         tree.version,
         tree.structural_updates,
-        [aptree.classify(tree, x) for x in headers],
+        [name(aptree.classify(tree, x)) for x in headers],
     )
 
 
-def _table(t) -> list:
+def _table(t, name=int) -> list:
     return [
-        sorted(t.forward.items()),
-        sorted(t.drop),
-        [[port, d, sorted(ks)] for (port, d), ks in sorted(t.acl_permit.items())],
-        sorted(t.rewrite.items()),
+        sorted((name(k), port) for k, port in t.forward.items()),
+        sorted(map(name, t.drop)),
+        [[port, d, sorted(map(name, ks))] for (port, d), ks in sorted(t.acl_permit.items())],
+        sorted((name(a), name(b)) for a, b in t.rewrite.items()),
     ]
 
 
-def pipeline_digest(pipe: Pipeline, h: StructuralHash, headers) -> str:
+def pipeline_digest(pipe: Pipeline, h: StructuralHash, headers, mode: str = "exact") -> str:
     plane = pipe.label_plane(LABEL_KEY)
+    name = _namer(pipe.atom_set, h, mode)
+    if mode == "exact":
+        labels, decoded = sorted(plane.label_of.items()), int
+    else:
+        labels, decoded = sorted(map(name, plane.label_of)), lambda l: name(plane.decode(l))
     return _hex(
-        version_digest(pipe.tree, h, headers),
-        [[b, _table(t)] for b, t in sorted(pipe.bmap.tables.items())],
-        [[b, sorted(r.items())] for b, r in sorted(pipe.bmap.atom_rewrite.items())],
-        sorted(plane.label_of.items()),
-        [[b, _table(t)] for b, t in sorted(plane.box_tables.items())],
+        version_digest(pipe.tree, h, headers, mode),
+        [[b, _table(t, name)] for b, t in sorted(pipe.bmap.tables.items())],
+        [[b, sorted((name(a), name(t)) for a, t in r.items())]
+         for b, r in sorted(pipe.bmap.atom_rewrite.items())],
+        labels,
+        [[b, _table(t, decoded)] for b, t in sorted(plane.box_tables.items())],
     )
 
 
@@ -138,25 +166,28 @@ def _spec(snapshot: str, updates: int) -> WorkloadSpec:
 # is the query one with its 3 NAT boxes (nat_doc); the generator draws the
 # updates after the snapshot, so the stream does not change the snapshot.
 # multi-field is that snapshot with a fifth of its rules also constrained on
-# src, dport and proto (multi_field_doc), under query's stream.
+# src, dport and proto (multi_field_doc), and two-round is it with one ACL
+# entry whose edge cuts a NAT image (nat_doc(src_and_dst_entry)), so its
+# rewrite closure takes a second round; both run under query's stream.
 WORKLOADS = {
     "query": ("nat", 100, (0, 1, 25, 50, 75, 100)),
     "multi-field": ("multi", 100, (0, 100)),
+    "two-round": ("nat-straddle", 100, (0, 1, 25, 50, 75, 100)),
     "live-update": ("query", 700, (0, 1, 100, 255, 256, 257, 511, 512, 513, 700)),
     "build-large": ("large", 40, (0, 1, 20, 40)),
 }
+DOCS = {"nat": nat_doc, "multi": multi_field_doc,
+        "nat-straddle": lambda: nat_doc(src_and_dst_entry)}
 
 
 def workload_digests(name: str) -> dict:
-    """The pipeline's digest; each pinned version's digest as published and
-    as re-read at the end of the stream; a chain over every version's
-    digest; and the digest of a manual rebuild after the stream."""
+    """Per mode: the pipeline's digest; each pinned version's digest as
+    published and as re-read at the end of the stream; a chain over every
+    version's digest; and the digest of a manual rebuild after the stream."""
     snapshot, count, positions = WORKLOADS[name]
     doc, updates, _ = generate(_spec(snapshot, count))
-    if snapshot == "nat":
-        doc = nat_doc()
-    elif snapshot == "multi":
-        doc = multi_field_doc()
+    if snapshot in DOCS:
+        doc = DOCS[snapshot]()
     pipe = build_pipeline(parse_snapshot(snapshot_bytes(doc)))
     layout = pipe.snapshot.layout
     rng = random.Random(f"digest:{name}")
@@ -165,29 +196,40 @@ def workload_digests(name: str) -> dict:
     ops = [(u["op"], pipe.engine.match_all(_parse_match(u["pred"], layout, "update")))
            for u in updates]
     h = StructuralHash(pipe.engine)
+
+    def digests(tree) -> dict:
+        return {mode: version_digest(tree, h, headers, mode) for mode in MODES}
+
     classifier = PublishedClassifier(pipe.tree, rebuild_after=REBUILD_AFTER)
-    chain = version_digest(classifier.tree, h, headers)
-    kept, versions = {0: classifier.tree}, {"0": chain}
+    chain = digests(classifier.tree)
+    kept, versions = {0: classifier.tree}, {0: chain}
     for i, (op, p) in enumerate(ops, 1):
         tree = (classifier.add if op == "add" else classifier.remove)(p)
-        digest = version_digest(tree, h, headers)
-        chain = _hex(chain, digest)
+        digest = digests(tree)
+        chain = {mode: _hex(chain[mode], digest[mode]) for mode in MODES}
         if i in positions:
-            kept[i], versions[str(i)] = tree, digest
+            kept[i], versions[i] = tree, digest
     for i, tree in kept.items():
-        if version_digest(tree, h, headers) != versions[str(i)]:
+        if digests(tree) != versions[i]:
             raise AssertionError(f"{name}: version {i} reads differently after the stream")
+    rebuilds = [[r["trigger"], r["update"]] for r in classifier.rebuilds]
+    rebuilt = digests(classifier.rebuild())
     return {
-        "pipeline": pipeline_digest(pipe, h, headers),
-        "versions": versions,
-        "chain": chain,
-        "rebuilds": [[r["trigger"], r["update"]] for r in classifier.rebuilds],
-        "rebuilt": version_digest(classifier.rebuild(), h, headers),
+        mode: {
+            "pipeline": pipeline_digest(pipe, h, headers, mode),
+            "versions": {str(i): d[mode] for i, d in versions.items()},
+            "chain": chain[mode],
+            "rebuilds": rebuilds,
+            "rebuilt": rebuilt[mode],
+        }
+        for mode in MODES
     }
 
 
 def all_digests() -> dict:
-    return {name: workload_digests(name) for name in WORKLOADS}
+    """{mode: {workload: digests}}, the golden file's layout."""
+    found = {name: workload_digests(name) for name in WORKLOADS}
+    return {mode: {name: d[mode] for name, d in found.items()} for mode in MODES}
 
 
 if __name__ == "__main__":
