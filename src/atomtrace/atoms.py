@@ -208,11 +208,12 @@ def compute_atoms(engine: Engine, preds: Sequence[Predicate]) -> AtomSet:
     side, the child record and the signature bits set there.  The index is
     one walk over those records and the signature so far.
 
-    Equals refinement by preds in order (Yang & Lam) -- ids, predicates,
-    order and membership.  Refinement lists each atom's inside before its
-    outside, first pred deciding first; so atoms are ordered by the preds
-    they lie *outside*, first pred most significant: by descending
-    signature, whose bits are the atom's row of the membership.
+    Equals from-scratch refinement by preds in order (Yang & Lam), its
+    atoms numbered 0..n-1 in final order, not refine's appended ids -- in
+    ids, predicates, order and membership.  Refinement lists each atom's
+    inside before its outside, first pred deciding first; so atoms are
+    ordered by the preds they lie *outside*, first pred most significant:
+    by descending signature, whose bits are the atom's row of the membership.
     """
     for p in preds:
         if p.engine is not engine:

@@ -1,8 +1,8 @@
 """End-to-end wiring: snapshot -> engine -> predicates -> atoms -> tree -> maps.
 
-Rewrite preimages are folded into the predicate set until every rewriter's
-image of every matched atom lands inside a single atom, which is what makes
-label rewriting well defined.
+The atoms of the compiled predicates are refined by rewrite preimages until
+every rewriter's image of every matched atom lands inside a single atom,
+which is what makes label rewriting well defined.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import aptree
-from .atoms import AtomSet, compute_atoms
+from .atoms import AtomSet, compute_atoms, refine
 from .bdd import Engine, Predicate
 from .behavior import BehaviorMap, compile_behavior_map
 from .label_plane import LabelPlane, build_label_plane
@@ -43,20 +43,19 @@ def close_over_rewrites(
     snapshot: NetworkSnapshot,
     compiled: CompiledNetwork,
 ) -> tuple[AtomSet, dict[str, dict[int, int]]]:
-    """Grow the predicate set until all rewrite images are atom-contained.
+    """Refine the compiled predicates' atoms by rewrite preimages until all
+    rewrite images are atom-contained.
 
-    Returns the atoms of the grown set (their sources are that set) and, for
-    every rewriter box, the {atom: image atom} table of the round that
-    converged.  Raises RuntimeError when an image straddles atoms and no new
-    preimage can split its source atom.
+    Returns the atoms, whose sources are the compiled predicates and then
+    the preimages in the order refined, and each rewriter box's {atom:
+    image atom} table of the round that converged.  Raises RuntimeError
+    when an image straddles atoms its preimages do not split.
     """
-    sources = list(compiled.all_preds)
-    known = {p.node for p in sources}
+    atom_set = compute_atoms(engine, compiled.all_preds)
     rewriters = [b for b in snapshot.boxes if b.rewrite is not None]
     for _ in range(_MAX_IMAGE_ROUNDS):
-        atom_set = compute_atoms(engine, sources)
         rewrites: dict[str, dict[int, int]] = {}
-        straddled = added = False
+        preimages: list[Predicate] = []
         for box in rewriters:
             table = rewrites[box.id] = {}
             sets = box.rewrite.sets
@@ -69,19 +68,17 @@ def close_over_rewrites(
                     table[aid] = reached.bit_length() - 1
                     continue
                 # split the source atom by the preimage of every target the
-                # image meets, so each refined cell maps into one atom; the
-                # targets meet the image in disjoint parts of the pinned
-                # subspace, so no preimage is constant
-                straddled = True
-                for tid in atom_set.in_order(reached):
-                    pre = engine.restrict(atom_set.pred_of(tid), sets)
-                    if pre.node not in known:
-                        known.add(pre.node)
-                        sources.append(pre)
-                        added = True
-        if not straddled:
+                # image meets, so each cell maps into one atom; the targets
+                # meet the image in disjoint parts of the pinned subspace, so
+                # no preimage is constant, and one already a source splits nothing
+                preimages += (engine.restrict(atom_set.pred_of(tid), sets)
+                              for tid in atom_set.in_order(reached))
+        if not preimages:
             return atom_set, rewrites
-        if not added:
+        live = atom_set.live
+        for pre in preimages:
+            atom_set, _ = refine(atom_set, pre)
+        if atom_set.live == live:
             raise RuntimeError("a rewrite image straddles atoms its preimages do not split")
     raise RuntimeError("rewrite-image closure did not converge")
 

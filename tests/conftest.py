@@ -153,6 +153,17 @@ def match_nodes(snapshot, engine) -> list[int]:
     ]
 
 
+def atoms_by_predicate(aset):
+    """An atom set (or a reference partition) with every id read as its
+    atom's predicate: the predicates in atom order, and each source's member
+    predicates in atom order.  Two builds in one engine that differ only in
+    how they number atoms read alike."""
+    preds = [aset.atoms[i] for i in aset.order]
+    members = {h: [aset.atoms[i] for i in aset.order if bits >> i & 1]
+               for h, bits in aset.membership.items()}
+    return preds, members
+
+
 def doc_bytes(doc) -> bytes:
     return json.dumps(doc).encode()
 
