@@ -44,11 +44,13 @@ def int_bits(value: int, width: int) -> bytes:
 
 
 def field_int(name: str, value) -> int:
-    """A field value given as an int or a decimal string.  Floats (inf and
-    nan included) and bools are refused rather than truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
+    """A field value given as an int or a string of ASCII digits.  Floats,
+    bools and signed, spaced, underscored or non-ASCII strings are refused."""
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name}={value!r} is not an integer")
-    return int(value)
+    return value
 
 
 # The widest layout.  The boolean ops built on Engine._apply (and, or,

@@ -99,7 +99,7 @@ def _is_int(x) -> bool:
 
 
 def _parse_value(raw, width: int, where: str) -> int:
-    if isinstance(raw, str) and "." in raw:
+    if isinstance(raw, str) and "." in raw and raw.isascii():
         if width != 32:
             raise BadConstraint(f"{where}: dotted quad on a {width}-bit field")
         parts = raw.split(".")

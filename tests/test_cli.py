@@ -432,11 +432,15 @@ class TestBadInputLines:
 
 # JSON field values that are not integers: each used to be truncated, or to
 # raise OverflowError (exit 3) from int(inf)
-NON_INTEGERS = ["Infinity", "-Infinity", "NaN", "1.5", "true"]
+# JSON spellings; the strings are ones int() would read, but that are not
+# plain decimal digits
+NON_INTEGERS = ["Infinity", "-Infinity", "NaN", "1.5", "true",
+                '"1_000"', '" 7 "', '"\u0661\u0660"', '"+5"']
 
 
 class TestNonIntegerValues:
-    """A float or bool field value is a usage error (exit 1), never truncated."""
+    """A float, a bool or a string other than ASCII digits is a usage error
+    (exit 1), never truncated or read."""
 
     @pytest.mark.parametrize("value", NON_INTEGERS)
     def test_trace_header(self, capsys, snapshot_file, monkeypatch, value):

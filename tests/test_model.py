@@ -139,6 +139,23 @@ class TestParse:
         with pytest.raises(SnapshotError):
             parse_snapshot(doc)
 
+    @pytest.mark.parametrize("bad", ["1_000", " 7 ", "\u0661\u0660", "+5"])
+    @pytest.mark.parametrize("where", ["value", "length", "priority", "width", "set"])
+    def test_non_decimal_strings_rejected(self, where, bad):
+        # int() reads each of these; a field value is an int or ASCII digits
+        self.test_non_integer_numbers_rejected(where, bad)
+
+    def test_non_ascii_dotted_quad_rejected(self):
+        doc = {
+            "layout": [{"name": "dst", "width": 32}],
+            "boxes": [{"id": "s", "ports": ["p"], "rules": [
+                {"priority": 1, "action": "drop", "match": [
+                    {"field": "dst", "kind": "exact", "value": "\u0661.2.3.4"}]}]}],
+            "links": [],
+        }
+        with pytest.raises(BadConstraint):
+            parse_snapshot(doc)
+
 
 class TestCompile:
     def test_priority_resolution(self):
