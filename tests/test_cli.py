@@ -430,10 +430,9 @@ class TestBadInputLines:
         assert named in err
 
 
-# JSON field values that are not integers: each used to be truncated, or to
-# raise OverflowError (exit 3) from int(inf)
-# JSON spellings; the strings are ones int() would read, but that are not
-# plain decimal digits
+# JSON field values that are not integers: each float or bool used to be
+# truncated, or to raise OverflowError (exit 3) from int(inf), and int() read
+# each string, though none is plain ASCII digits
 NON_INTEGERS = ["Infinity", "-Infinity", "NaN", "1.5", "true",
                 '"1_000"', '" 7 "', '"\u0661\u0660"', '"+5"']
 
