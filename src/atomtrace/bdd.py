@@ -142,7 +142,7 @@ class HeaderLayout:
         return fixed
 
     def header(self, values: dict[str, int]) -> "Header":
-        """Build a header from per-field values (ints or decimal strings);
+        """Build a header from per-field values (ints or ASCII digit strings);
         missing fields are 0.  The fields are packed into one int, then
         expanded to bits in one pass."""
         packed = 0
